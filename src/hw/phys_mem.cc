@@ -4,36 +4,56 @@
 
 namespace hw {
 
-HostPhysMem::HostPhysMem(uint64_t size_bytes) : size_(size_bytes) {
+HostPhysMem::HostPhysMem(uint64_t size_bytes)
+    : size_(size_bytes),
+      leaves_(((size_bytes >> sb::kPageShift) + kLeafFrames - 1) >> kLeafShift) {
   SB_CHECK(sb::IsPageAligned(size_bytes)) << "RAM size must be page aligned";
+}
+
+HostPhysMem::~HostPhysMem() {
+  for (std::atomic<Leaf*>& leaf : leaves_) {
+    delete leaf.load(std::memory_order_relaxed);
+  }
+}
+
+HostPhysMem::Leaf& HostPhysMem::LeafFor(uint64_t frame) {
+  std::atomic<Leaf*>& slot = leaves_[frame >> kLeafShift];
+  Leaf* leaf = slot.load(std::memory_order_acquire);
+  if (leaf == nullptr) {
+    auto fresh = std::make_unique<Leaf>();
+    if (slot.compare_exchange_strong(leaf, fresh.get(), std::memory_order_acq_rel,
+                                     std::memory_order_acquire)) {
+      leaf = fresh.release();
+    }
+  }
+  return *leaf;
 }
 
 uint8_t* HostPhysMem::FrameFor(Hpa addr) {
   SB_CHECK(Contains(addr)) << "HPA out of RAM: 0x" << std::hex << addr;
   const uint64_t frame = addr >> sb::kPageShift;
-  if (auto cit = contig_frames_.find(frame); cit != contig_frames_.end()) {
-    return cit->second;
+  Leaf& leaf = LeafFor(frame);
+  const uint64_t slot = frame & (kLeafFrames - 1);
+  uint8_t* data = leaf.data[slot].load(std::memory_order_acquire);
+  if (data == nullptr) {
+    auto fresh = std::make_unique<uint8_t[]>(sb::kPageSize);  // Zero-filled.
+    if (leaf.data[slot].compare_exchange_strong(data, fresh.get(), std::memory_order_acq_rel,
+                                                std::memory_order_acquire)) {
+      data = fresh.get();
+      leaf.owned[slot] = std::move(fresh);
+      resident_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
-  auto it = frames_.find(frame);
-  if (it == frames_.end()) {
-    auto storage = std::make_unique<uint8_t[]>(sb::kPageSize);
-    std::memset(storage.get(), 0, sb::kPageSize);
-    it = frames_.emplace(frame, std::move(storage)).first;
-  }
-  return it->second.get();
+  return data;
 }
 
-const uint8_t* HostPhysMem::FrameForRead(Hpa addr) const {
+uint8_t* HostPhysMem::BackingOf(Hpa addr) const {
   SB_CHECK(Contains(addr)) << "HPA out of RAM: 0x" << std::hex << addr;
   const uint64_t frame = addr >> sb::kPageShift;
-  if (auto cit = contig_frames_.find(frame); cit != contig_frames_.end()) {
-    return cit->second;
-  }
-  auto it = frames_.find(frame);
-  if (it == frames_.end()) {
-    return nullptr;  // Untouched frames read as zero.
-  }
-  return it->second.get();
+  const Leaf* leaf = leaves_[frame >> kLeafShift].load(std::memory_order_acquire);
+  return leaf == nullptr
+             ? nullptr
+             : leaf->data[frame & (kLeafFrames - 1)].load(std::memory_order_acquire);
 }
 
 void HostPhysMem::BackContiguous(Hpa base, uint64_t len) {
@@ -44,26 +64,49 @@ void HostPhysMem::BackContiguous(Hpa base, uint64_t len) {
   if (ContiguousSpan(base, len) != nullptr) {
     return;  // Already one region.
   }
-  auto region = std::make_unique<ContigRegion>();
-  region->first_frame = first;
-  region->num_frames = count;
-  region->storage = std::make_unique<uint8_t[]>(count * sb::kPageSize);
-  std::memset(region->storage.get(), 0, count * sb::kPageSize);
+  uint8_t* storage = region_storage_
+                         .emplace_back(std::make_unique<uint8_t[]>(count * sb::kPageSize))
+                         .get();
   for (uint64_t i = 0; i < count; ++i) {
     const uint64_t frame = first + i;
-    uint8_t* dst = region->storage.get() + i * sb::kPageSize;
-    // Preserve whatever was already materialized for this frame, then retire
-    // the old backing so the region's storage is authoritative.
-    if (auto cit = contig_frames_.find(frame); cit != contig_frames_.end()) {
-      std::memcpy(dst, cit->second, sb::kPageSize);
-      contig_frames_.erase(cit);
-    } else if (auto it = frames_.find(frame); it != frames_.end()) {
-      std::memcpy(dst, it->second.get(), sb::kPageSize);
-      frames_.erase(it);
+    Leaf& leaf = LeafFor(frame);
+    const uint64_t slot = frame & (kLeafFrames - 1);
+    uint8_t* dst = storage + i * sb::kPageSize;
+    // Preserve whatever the frame already held, then retire its old backing
+    // so the region's storage is authoritative. (Backing a region is set-up
+    // work: nothing else touches these frames meanwhile.)
+    if (const uint8_t* old = leaf.data[slot].load(std::memory_order_acquire); old != nullptr) {
+      std::memcpy(dst, old, sb::kPageSize);
+    } else {
+      resident_.fetch_add(1, std::memory_order_relaxed);
     }
-    contig_frames_[frame] = dst;
+    leaf.data[slot].store(dst, std::memory_order_release);
+    leaf.owned[slot].reset();
   }
-  regions_.push_back(std::move(region));
+  // Trim every older region the new one overlaps down to its parts outside
+  // [first, end); those frames still live in the older storage.
+  const uint64_t end = first + count;
+  auto it = regions_.upper_bound(first);
+  if (it != regions_.begin()) {
+    --it;
+  }
+  while (it != regions_.end() && it->first < end) {
+    const uint64_t r_first = it->first;
+    const uint64_t r_end = r_first + it->second.num_frames;
+    if (r_end <= first) {
+      ++it;
+      continue;
+    }
+    uint8_t* r_base = it->second.base;
+    it = regions_.erase(it);
+    if (r_first < first) {
+      regions_.emplace(r_first, ContigRegion{first - r_first, r_base});
+    }
+    if (r_end > end) {
+      regions_.emplace(end, ContigRegion{r_end - end, r_base + (end - r_first) * sb::kPageSize});
+    }
+  }
+  regions_[first] = ContigRegion{count, storage};
 }
 
 uint8_t* HostPhysMem::ContiguousSpan(Hpa addr, uint64_t len) {
@@ -71,21 +114,17 @@ uint8_t* HostPhysMem::ContiguousSpan(Hpa addr, uint64_t len) {
     return nullptr;
   }
   const uint64_t first = addr >> sb::kPageShift;
-  auto it = contig_frames_.find(first);
-  if (it == contig_frames_.end()) {
+  auto it = regions_.upper_bound(first);
+  if (it == regions_.begin()) {
     return nullptr;
   }
-  // Find the region that owns the first frame and check the range fits.
-  for (const auto& region : regions_) {
-    if (first >= region->first_frame && first < region->first_frame + region->num_frames) {
-      const uint64_t region_end = (region->first_frame + region->num_frames) << sb::kPageShift;
-      if (addr + len <= region_end) {
-        return it->second + (addr & (sb::kPageSize - 1));
-      }
-      return nullptr;
-    }
+  --it;
+  const Hpa region_base = it->first << sb::kPageShift;
+  const Hpa region_end = (it->first + it->second.num_frames) << sb::kPageShift;
+  if (addr + len > region_end) {
+    return nullptr;  // Past the end, or the first frame is not in a region.
   }
-  return nullptr;
+  return it->second.base + (addr - region_base);
 }
 
 void HostPhysMem::Read(Hpa addr, std::span<uint8_t> out) const {
@@ -95,7 +134,7 @@ void HostPhysMem::Read(Hpa addr, std::span<uint8_t> out) const {
     const Hpa cur = addr + done;
     const uint64_t offset = cur & (sb::kPageSize - 1);
     const size_t chunk = std::min<size_t>(out.size() - done, sb::kPageSize - offset);
-    const uint8_t* frame = FrameForRead(cur);
+    const uint8_t* frame = BackingOf(cur);
     if (frame == nullptr) {
       std::memset(out.data() + done, 0, chunk);
     } else {
@@ -147,7 +186,9 @@ void HostPhysMem::WriteU8(Hpa addr, uint8_t value) { Write(addr, std::span<const
 
 void HostPhysMem::ZeroFrame(Hpa frame_base) {
   SB_CHECK(sb::IsPageAligned(frame_base));
-  std::memset(FrameFor(frame_base), 0, sb::kPageSize);
+  if (uint8_t* frame = BackingOf(frame_base); frame != nullptr) {
+    std::memset(frame, 0, sb::kPageSize);
+  }
 }
 
 FrameAllocator::FrameAllocator(Hpa base, uint64_t size_bytes)

@@ -92,7 +92,35 @@ sb::Status SkyBridge::ScrubPagesLocked(mk::Process* process, RegState& st,
   SB_CHECK(code_walk.ok);
   const hw::CostModel& costs = core.costs();
   const bool cached = config_.rewrite_cache_entries > 0;
-  std::vector<uint8_t> image = process->code_image();
+  x86::ScanStats scan_stats;
+  x86::ScanOptions scan_options;
+  scan_options.pool = &scan_pool_;
+  scan_options.stats = &scan_stats;
+  scan_options.pattern =
+      backend == CrossingBackendKind::kMpk ? x86::kWrpkruBytes : x86::kVmfuncBytes;
+  // One scan per image: carried over from the last scrub, adopted from an
+  // identical template's, or run here once.
+  x86::ImageScan scan = [&] {
+    if (st.scan.has_value()) {
+      x86::ImageScan carried(process->code_image(), *st.scan);
+      carried.SetPattern(scan_options);
+      return carried;
+    }
+    // Only a pristine image may share its template's index (a restored
+    // snapshot, say, carries the template's hash but rewritten bytes).
+    const bool pristine = process->code_image() == st.pristine_image;
+    const auto memo_key = std::make_pair(st.pristine_hash, pattern_id);
+    if (auto it = scan_memo_.find(memo_key); pristine && it != scan_memo_.end()) {
+      return x86::ImageScan(process->code_image(), it->second);
+    }
+    x86::ImageScan fresh(process->code_image(), scan_options);
+    if (pristine) {
+      scan_memo_.emplace(memo_key, fresh.index());
+    }
+    return fresh;
+  }();
+  metrics_.scan_pages->Add(scan_stats.pages);
+  metrics_.scan_threads->SetMax(scan_stats.threads);
   auto& keys = st.page_keys[pattern_id];
   if (keys.size() < st.image_pages) {
     keys.resize(st.image_pages);
@@ -101,10 +129,7 @@ sb::Status SkyBridge::ScrubPagesLocked(mk::Process* process, RegState& st,
     if (((page_mask >> p) & 1) == 0) {
       continue;
     }
-    x86::RewriteCacheKey key;
-    key.content_hash = x86::HashCodePage(image, p);
-    key.page_index = static_cast<uint32_t>(p);
-    key.pattern_id = pattern_id;
+    const x86::RewriteCacheKey key = x86::PageCacheKey(scan, p, pattern_id);
     x86::PageRewrite pr;
     bool replayed = false;
     if (cached) {
@@ -117,19 +142,24 @@ sb::Status SkyBridge::ScrubPagesLocked(mk::Process* process, RegState& st,
         metrics_.cache_misses->Add();
       }
     }
-    if (!replayed) {
+    if (replayed) {
+      // Replayed edits land through the scan, so the next page's key and
+      // any later miss see the image as it now is.
+      for (const x86::PagePatch& patch : pr.patches) {
+        if (patch.code_off + patch.bytes.size() > scan.code().size()) {
+          return sb::Internal("page rewrite patch outside the image");
+        }
+        scan.Patch(patch.code_off, patch.bytes);
+      }
+    } else {
       x86::RewriteConfig rw;
       rw.code_base = mk::kCodeVa;
       rw.rewrite_page_base = WindowVa(backend, p);
       rw.rewrite_page_capacity = sb::kPageSize;
-      rw.scan_pool = &scan_pool_;
-      rw.pattern = backend == CrossingBackendKind::kMpk ? x86::kWrpkruBytes
-                                                        : x86::kVmfuncBytes;
-      SB_ASSIGN_OR_RETURN(pr, x86::RewriteVmfuncPage(image, p, rw));
+      rw.pattern = scan_options.pattern;
+      SB_ASSIGN_OR_RETURN(pr, x86::RewriteVmfuncPage(scan, p, rw));
       core.AdvanceCycles(costs.rewrite_scan_page);
       metrics_.pages_rescanned->Add();
-      metrics_.scan_pages->Add(pr.stats.scan_pages);
-      metrics_.scan_threads->SetMax(pr.stats.scan_threads);
       if (cached) {
         rewrite_cache_.Insert(key, pr);
       }
@@ -142,12 +172,6 @@ sb::Status SkyBridge::ScrubPagesLocked(mk::Process* process, RegState& st,
     keys[p] = key;
     metrics_.rewritten_vmfuncs->Add(
         static_cast<uint64_t>(pr.stats.nop_replaced + pr.stats.windows_relocated));
-    for (const x86::PagePatch& patch : pr.patches) {
-      if (patch.code_off + patch.bytes.size() > image.size()) {
-        return sb::Internal("page rewrite patch outside the image");
-      }
-      std::copy(patch.bytes.begin(), patch.bytes.end(), image.begin() + patch.code_off);
-    }
     if (!pr.snippets.empty()) {
       const hw::Gva wva = WindowVa(backend, p);
       hw::Gpa wgpa = 0;
@@ -164,8 +188,10 @@ sb::Status SkyBridge::ScrubPagesLocked(mk::Process* process, RegState& st,
     }
   }
   // Write the (partially) rewritten image back over the code pages.
+  std::vector<uint8_t> image = scan.TakeCode();
   kernel_->machine().mem().Write(code_walk.gpa, image);
   process->set_code_image(std::move(image));
+  st.scan = scan.TakeIndex();
   return sb::OkStatus();
 }
 
@@ -280,6 +306,7 @@ sb::Status SkyBridge::UpdateProcessCode(mk::Process* process, std::vector<uint8_
     // pages' cache entries — clean pages replay from the cache.
     st.pristine_image = process->code_image();
     st.pristine_hash = x86::HashBytes(st.pristine_image);
+    st.scan.reset();
     const size_t new_pages = ImagePages(st.pristine_image.size());
     if (new_pages != st.image_pages) {
       for (size_t p = new_pages; p < st.image_pages; ++p) {
@@ -426,6 +453,7 @@ sb::Status SkyBridge::RestoreLocked(mk::Process* process,
   uint64_t bytes = snapshot.code.size();
   kernel_->machine().mem().Write(code_walk.gpa, snapshot.code);
   process->set_code_image(snapshot.code);
+  st->scan.reset();
   for (const auto& [wva, page] : snapshot.window_pages) {
     hw::Gpa wgpa = 0;
     if (const hw::GuestWalk ww = process->address_space().WalkVa(wva); ww.ok) {

@@ -160,8 +160,10 @@ const SkyBridgeStats& SkyBridge::stats() const {
   snapshot.bindings_revoked = metrics_.bindings_revoked->Value();
   snapshot.slot_faults = metrics_.slot_faults->Value();
   snapshot.migration_installs = metrics_.migration_installs->Value();
-  snapshot.batched_calls = metrics_.batched_calls->Value();
+  // A flush is published after its submissions and its drain rounds, so
+  // reading flushes first never shows a flush without them.
   snapshot.batch_flushes = metrics_.batch_flushes->Value();
+  snapshot.batched_calls = metrics_.batched_calls->Value();
   snapshot.batch_drain_rounds = metrics_.drain_rounds->Value();
   snapshot.exec_faults = metrics_.exec_faults->Value();
   snapshot.lazy_rewrites = metrics_.lazy_rewrites->Value();
@@ -807,8 +809,9 @@ sb::Status SkyBridge::FlushBatch(mk::Thread* caller, ServerId server_id,
     return sb::PermissionDenied("calling key rejected");
   }
   const Gate::DrainOutcome outcome = gate_.DrainBatch(ctx, ring, batch_refill_);
-  metrics_.batch_flushes->Add();
+  // Rounds before the flush that drained them (stats() reads flushes first).
   metrics_.drain_rounds->Add(outcome.rounds);
+  metrics_.batch_flushes->Add();
   perm->queued_submissions -= outcome.completed;
   if (SB_FAULT_POINT(kFaultRevokeInflight)) {
     // Revocation racing a live flush: this crossing's completions stand;

@@ -41,6 +41,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -77,8 +78,11 @@ struct SkyBridgeStats {
   // last-route cache; misses fell through to the binding hash index.
   uint64_t binding_lookup_hits = 0;
   uint64_t binding_lookup_misses = 0;
-  // Registration-scan accounting (the parallel slow path).
-  uint64_t scan_pages = 0;    // Code-page chunks scanned across rewrites.
+  // Registration-scan accounting (the parallel slow path). scan_pages
+  // counts the code pages of whole-image scans: each image is scanned at
+  // most once (a fork of a scanned template adopts its index and adds 0);
+  // the re-scan around each rewrite edit is a few bytes and not counted.
+  uint64_t scan_pages = 0;
   uint64_t scan_threads = 0;  // Widest fan-out any scan used.
   // ---- Fault model & recovery (DESIGN.md section 10) ----
   uint64_t aborted_calls = 0;      // Server crashed mid-handler; rootkernel abort.
@@ -269,7 +273,10 @@ class SkyBridge {
   // individually monotonic and exact at its read point, but the snapshot is
   // NOT a consistent cut across counters — a call racing the fold may be
   // reflected in direct_calls and not yet in binding_lookup_hits (or vice
-  // versa; fields are read in declaration order). The returned reference is
+  // versa; fields are read in declaration order). One exception is kept:
+  // batch_flushes is read before batched_calls and batch_drain_rounds, and
+  // a flush is counted after both, so a snapshot never shows more flushes
+  // than submissions or drain rounds. The returned reference is
   // thread-local: it stays valid, and stable, until the same thread calls
   // stats() again.
   const SkyBridgeStats& stats() const;
@@ -331,6 +338,12 @@ class SkyBridge {
     // Cache key inserted per (pattern, page) by the last scrub — compared on
     // UpdateProcessCode so only dirtied pages invalidate their entries.
     std::map<uint32_t, std::vector<x86::RewriteCacheKey>> page_keys;
+    // The scan index of the current code image, carried from one scrub to
+    // the next (lazy faults, the second pattern pass) so no scrub sweeps an
+    // image twice. Absent before the first scrub and after the image is
+    // replaced (UpdateProcessCode, a snapshot restore); the next scrub then
+    // adopts scan_memo_'s index if the image is pristine, or scans it.
+    std::optional<x86::ScanIndex> scan;
   };
 
   sb::Status EnsureProcessPrepared(mk::Process* process, CrossingBackendKind backend);
@@ -494,6 +507,11 @@ class SkyBridge {
   // relaxed load.
   std::atomic<uint64_t> lazy_pending_{0};
   x86::RewriteCache rewrite_cache_;
+  // Scan index of each pristine image seen, keyed by (pristine_hash, pattern
+  // id): a fork of a registered template adopts it instead of sweeping. One
+  // bit per image byte plus the raw hits — an eighth of the pristine copy
+  // each RegState already keeps.
+  std::map<std::pair<uint64_t, uint32_t>, x86::ScanIndex> scan_memo_;
   // Latency of the exec-fault slow path (fault delivery through rewrite).
   sb::telemetry::LatencyHistogram* phase_exec_fault_ = nullptr;
   // Snapshot library for kSnapshot mode, keyed by pristine image hash.

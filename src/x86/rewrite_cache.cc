@@ -13,16 +13,36 @@ uint64_t HashBytes(std::span<const uint8_t> bytes) {
   return h;
 }
 
+namespace {
+
+constexpr size_t kPage = 4096;
+constexpr size_t kContext = 64;
+
+size_t ContextBegin(size_t page_index) {
+  const size_t page_begin = page_index * kPage;
+  return page_begin >= kContext ? page_begin - kContext : 0;
+}
+
+}  // namespace
+
 uint64_t HashCodePage(std::span<const uint8_t> image, size_t page_index) {
-  constexpr size_t kPage = 4096;
-  constexpr size_t kContext = 64;
   const size_t page_begin = page_index * kPage;
   if (page_begin >= image.size()) {
     return HashBytes({});
   }
-  const size_t begin = page_begin >= kContext ? page_begin - kContext : 0;
+  const size_t begin = ContextBegin(page_index);
   const size_t end = std::min(image.size(), page_begin + kPage + kContext);
   return HashBytes(image.subspan(begin, end - begin));
+}
+
+RewriteCacheKey PageCacheKey(const ImageScan& scan, size_t page_index, uint32_t pattern_id) {
+  RewriteCacheKey key;
+  key.content_hash = HashCodePage(scan.code(), page_index);
+  key.page_index = static_cast<uint32_t>(page_index);
+  key.pattern_id = pattern_id;
+  const size_t context_begin = std::min(ContextBegin(page_index), scan.code().size());
+  key.sweep_entry = static_cast<uint32_t>(scan.NextStart(context_begin) - context_begin);
+  return key;
 }
 
 std::optional<PageRewrite> RewriteCache::Lookup(const RewriteCacheKey& key) {

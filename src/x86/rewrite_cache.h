@@ -5,12 +5,16 @@
 // once per distinct page content. The cache key is
 //
 //   (content hash of the page plus 64 B of boundary context on each side,
-//    page index, backend pattern id)
+//    page index, backend pattern id, sweep entry)
 //
 // The boundary context is part of the key because a rewrite window that
 // straddles a page edge patches a few bytes of the neighbouring page; the
 // context bytes pin the instruction stream the recorded patches assumed.
-// The page index is part of the key because emitted snippets encode absolute
+// The sweep entry — where the linear sweep of the whole image enters that
+// context — is part of it because the same bytes decode into different
+// instructions from a different entry: a page whose hits are classified
+// from one entry must never replay onto an image entered at another. The
+// page index is part of the key because emitted snippets encode absolute
 // jump displacements derived from the page's position in the image. The
 // pattern id keeps backends apart: an MPK (WRPKRU) rewrite must never
 // satisfy an EPTP (VMFUNC) lookup for the same bytes.
@@ -47,9 +51,16 @@ struct RewriteCacheKey {
   uint64_t content_hash = 0;
   uint32_t page_index = 0;
   uint32_t pattern_id = 0;  // 0 = VMFUNC (EPTP backend), 1 = WRPKRU (MPK).
+  // The first instruction start at or after the hashed context's first
+  // byte, relative to it (0..14: an instruction is at most 15 bytes).
+  uint32_t sweep_entry = 0;
 
   bool operator==(const RewriteCacheKey& rhs) const = default;
 };
+
+// The cache key of page `page_index` of the scanned image, read off the
+// scan's current instruction starts (no sweep of its own).
+RewriteCacheKey PageCacheKey(const ImageScan& scan, size_t page_index, uint32_t pattern_id);
 
 struct RewriteCacheStats {
   uint64_t hits = 0;
@@ -83,6 +94,8 @@ class RewriteCache {
     size_t operator()(const RewriteCacheKey& key) const {
       uint64_t h = key.content_hash;
       h ^= (static_cast<uint64_t>(key.page_index) << 32) | key.pattern_id;
+      h *= 0x9e3779b97f4a7c15ULL;
+      h ^= key.sweep_entry;
       h *= 0x9e3779b97f4a7c15ULL;
       return static_cast<size_t>(h ^ (h >> 32));
     }

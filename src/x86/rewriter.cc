@@ -1,6 +1,7 @@
 #include "src/x86/rewriter.h"
 
 #include <algorithm>
+#include <cstring>
 #include <optional>
 
 #include "src/base/logging.h"
@@ -743,21 +744,45 @@ class SnippetBuilder {
 
 // ---- Main driver ----
 
-sb::Status HandleHit(std::vector<uint8_t>& code, std::vector<uint8_t>& page,
-                     const RewriteConfig& config, const VmfuncHit& hit, RewriteStats& stats) {
+// Scrubs every hit with a pattern offset in [lo, hi) on `scan`, lowest
+// offset first, until none is left. Each committed edit is applied to the
+// scan (which re-syncs around it) and, when `patches` is set, recorded.
+sb::Status ScrubRange(ImageScan& scan, size_t lo, size_t hi, const RewriteConfig& config,
+                      std::vector<uint8_t>& snippets, RewriteStats& stats,
+                      std::vector<PagePatch>* patches) {
+  SB_CHECK(std::memcmp(scan.pattern(), config.pattern, 3) == 0)
+      << "the scan hunts a different pattern than the rewrite";
+  for (int iter = 0; iter < config.max_iterations; ++iter) {
+    const std::optional<VmfuncHit> hit = scan.FirstHit(lo, hi);
+    if (!hit.has_value()) {
+      if (ContainsPattern(snippets, config.pattern)) {
+        return sb::Internal("rewrite page contains the pattern after rewriting");
+      }
+      return sb::OkStatus();
+    }
+    SB_ASSIGN_OR_RETURN(PagePatch patch, RewriteHit(scan.code(), snippets, config, *hit, stats));
+    scan.Patch(patch.code_off, patch.bytes);
+    if (patches != nullptr) {
+      patches->push_back(std::move(patch));
+    }
+  }
+  return sb::Internal("rewriting did not converge");
+}
+
+}  // namespace
+
+sb::StatusOr<PagePatch> RewriteHit(std::span<const uint8_t> code, std::vector<uint8_t>& page,
+                                   const RewriteConfig& config, const VmfuncHit& hit,
+                                   RewriteStats& stats) {
   if (hit.overlap == VmfuncOverlap::kIsVmfunc || hit.overlap == VmfuncOverlap::kInOpcode ||
       hit.overlap == VmfuncOverlap::kUndecodable) {
     // C1 (and conservative fallback): replace the three bytes with NOPs.
-    code[hit.pattern_off] = kNopByte;
-    code[hit.pattern_off + 1] = kNopByte;
-    code[hit.pattern_off + 2] = kNopByte;
     ++stats.nop_replaced;
-    return sb::OkStatus();
+    return PagePatch{hit.pattern_off, std::vector<uint8_t>(3, kNopByte)};
   }
 
   // Build the relocation window: whole instructions covering the pattern,
   // extended until it can hold a 5-byte JMP.
-  const std::span<const uint8_t> code_span(code);
   std::vector<WindowInsn> window;
   size_t pos = hit.insn_off;
   size_t end = hit.insn_off;
@@ -765,7 +790,7 @@ sb::Status HandleHit(std::vector<uint8_t>& code, std::vector<uint8_t>& page,
     if (pos >= code.size()) {
       return sb::OutOfRange("pattern too close to end of code region");
     }
-    const Insn insn = Decode(code_span, pos);
+    const Insn insn = Decode(code, pos);
     if (!insn.valid) {
       return sb::Unimplemented("undecodable instruction in rewrite window");
     }
@@ -778,7 +803,7 @@ sb::Status HandleHit(std::vector<uint8_t>& code, std::vector<uint8_t>& page,
     end = pos;
   }
 
-  SnippetBuilder builder(code_span, config, hit, window, end);
+  SnippetBuilder builder(code, config, hit, window, end);
 
   // Try (pad, variant) combinations until the snippet, the page junctions and
   // the patched code window are all pattern-free.
@@ -836,93 +861,38 @@ sb::Status HandleHit(std::vector<uint8_t>& code, std::vector<uint8_t>& page,
     // Commit.
     page.insert(page.end(), static_cast<size_t>(pad), kNopByte);
     page.insert(page.end(), snippet.begin(), snippet.end());
-    std::copy(patch.begin(), patch.end(), code.begin() + static_cast<long>(wstart));
     ++stats.windows_relocated;
     ++stats.snippets_emitted;
-    return sb::OkStatus();
+    return PagePatch{wstart, std::move(patch)};
   }
   return sb::Internal("could not find a pattern-free rewriting");
 }
 
-}  // namespace
-
 sb::StatusOr<RewriteResult> RewriteVmfunc(std::span<const uint8_t> code,
                                           const RewriteConfig& config) {
   RewriteResult result;
-  result.code.assign(code.begin(), code.end());
-
   ScanStats scan_stats;
   ScanOptions scan_options;
   scan_options.pool = config.scan_pool;
   scan_options.stats = &scan_stats;
   scan_options.pattern = config.pattern;
-
-  for (int iter = 0; iter < config.max_iterations; ++iter) {
-    const std::vector<VmfuncHit> hits = ScanForVmfunc(result.code, scan_options);
-    result.stats.scan_pages = scan_stats.pages;
-    result.stats.scan_threads = scan_stats.threads;
-    if (hits.empty()) {
-      if (ContainsPattern(result.rewrite_page, config.pattern)) {
-        return sb::Internal("rewrite page contains the pattern after rewriting");
-      }
-      return result;
-    }
-    SB_RETURN_IF_ERROR(
-        HandleHit(result.code, result.rewrite_page, config, hits.front(), result.stats));
-  }
-  return sb::Internal("rewriting did not converge");
+  ImageScan scan(std::vector<uint8_t>(code.begin(), code.end()), scan_options);
+  result.stats.scan_pages = scan_stats.pages;
+  result.stats.scan_threads = scan_stats.threads;
+  SB_RETURN_IF_ERROR(ScrubRange(scan, 0, code.size(), config, result.rewrite_page, result.stats,
+                                /*patches=*/nullptr));
+  result.code = scan.TakeCode();
+  return result;
 }
 
-sb::StatusOr<PageRewrite> RewriteVmfuncPage(std::span<const uint8_t> code, size_t page_index,
+sb::StatusOr<PageRewrite> RewriteVmfuncPage(ImageScan& scan, size_t page_index,
                                             const RewriteConfig& config) {
   constexpr size_t kCodePageBytes = 4096;
   PageRewrite result;
-  std::vector<uint8_t> working(code.begin(), code.end());
-
-  ScanStats scan_stats;
-  ScanOptions scan_options;
-  scan_options.pool = config.scan_pool;
-  scan_options.stats = &scan_stats;
-  scan_options.pattern = config.pattern;
-
-  for (int iter = 0; iter < config.max_iterations; ++iter) {
-    const std::vector<VmfuncHit> hits = ScanForVmfunc(working, scan_options);
-    result.stats.scan_pages = scan_stats.pages;
-    result.stats.scan_threads = scan_stats.threads;
-    const VmfuncHit* owned = nullptr;
-    for (const VmfuncHit& hit : hits) {
-      if (hit.pattern_off / kCodePageBytes == page_index) {
-        owned = &hit;
-        break;
-      }
-    }
-    if (owned == nullptr) {
-      if (ContainsPattern(result.snippets, config.pattern)) {
-        return sb::Internal("rewrite sub-window contains the pattern after rewriting");
-      }
-      // Record the working-vs-input byte diff as replayable patches.
-      size_t i = 0;
-      while (i < working.size()) {
-        if (working[i] == code[i]) {
-          ++i;
-          continue;
-        }
-        size_t j = i;
-        while (j < working.size() && working[j] != code[j]) {
-          ++j;
-        }
-        PagePatch patch;
-        patch.code_off = i;
-        patch.bytes.assign(working.begin() + static_cast<long>(i),
-                           working.begin() + static_cast<long>(j));
-        result.patches.push_back(std::move(patch));
-        i = j;
-      }
-      return result;
-    }
-    SB_RETURN_IF_ERROR(HandleHit(working, result.snippets, config, *owned, result.stats));
-  }
-  return sb::Internal("rewriting did not converge");
+  const size_t lo = page_index * kCodePageBytes;
+  SB_RETURN_IF_ERROR(ScrubRange(scan, lo, lo + kCodePageBytes, config, result.snippets,
+                                result.stats, &result.patches));
+  return result;
 }
 
 }  // namespace x86

@@ -65,8 +65,8 @@ struct RewriteStats {
   int nop_replaced = 0;       // C1: true VMFUNC instructions NOPed out.
   int windows_relocated = 0;  // Windows moved to the rewrite page.
   int snippets_emitted = 0;
-  uint64_t scan_pages = 0;    // Code-page chunks scanned across all passes.
-  uint64_t scan_threads = 0;  // Widest fan-out any scan pass used.
+  uint64_t scan_pages = 0;    // Code-page chunks of the whole-image scan.
+  uint64_t scan_threads = 0;  // Widest fan-out that scan used.
 };
 
 struct RewriteResult {
@@ -74,12 +74,6 @@ struct RewriteResult {
   std::vector<uint8_t> rewrite_page;  // Snippet bytes for the rewrite page.
   RewriteStats stats;
 };
-
-// Rewrites until neither the code nor the rewrite page contains the pattern.
-sb::StatusOr<RewriteResult> RewriteVmfunc(std::span<const uint8_t> code,
-                                          const RewriteConfig& config);
-
-// ---- Per-page rewriting (staged registration, DESIGN.md section 17) ----
 
 // One committed edit to the code image: the bytes at [code_off,
 // code_off + bytes.size()) are replaced. Offsets are image-relative, so a
@@ -89,23 +83,41 @@ struct PagePatch {
   std::vector<uint8_t> bytes;
 };
 
+// One rewrite step, shared by both rewrite loops below: scrubs `hit` (classified
+// against `code`), appends any snippet to `page` (the rewrite page, which
+// starts at config.rewrite_page_base) and returns the in-image edit. The
+// caller applies the edit; `code` is not modified.
+sb::StatusOr<PagePatch> RewriteHit(std::span<const uint8_t> code, std::vector<uint8_t>& page,
+                                   const RewriteConfig& config, const VmfuncHit& hit,
+                                   RewriteStats& stats);
+
+// Rewrites until neither the code nor the rewrite page contains the pattern,
+// always taking the occurrence with the lowest offset next. Scans the image
+// once (ImageScan) and re-scans only around each edit.
+sb::StatusOr<RewriteResult> RewriteVmfunc(std::span<const uint8_t> code,
+                                          const RewriteConfig& config);
+
+// ---- Per-page rewriting (staged registration, DESIGN.md section 17) ----
+
 // Deterministic result of scrubbing the pattern occurrences owned by one
-// 4 KiB code page: in-image patches plus the snippet bytes for that page's
-// private rewrite-page sub-window (starting at config.rewrite_page_base).
+// 4 KiB code page: the committed in-image edits, in order, plus the snippet
+// bytes for that page's private rewrite-page sub-window (starting at
+// config.rewrite_page_base).
 struct PageRewrite {
   std::vector<PagePatch> patches;
   std::vector<uint8_t> snippets;
   RewriteStats stats;
 };
 
-// Rewrites only the hits whose pattern starts inside page `page_index` of
-// `code`. The whole image is scanned each pass — instruction classification
-// needs boundaries from the image start — but only hits owned by the page
-// are handled. `config.rewrite_page_base` / `rewrite_page_capacity` describe
-// the page's private snippet sub-window. Patches may spill a few bytes past
-// the page edge when a rewrite window straddles it, which is why the cache
-// key hashes the page plus boundary context.
-sb::StatusOr<PageRewrite> RewriteVmfuncPage(std::span<const uint8_t> code, size_t page_index,
+// Rewrites the hits whose pattern starts inside page `page_index` of the
+// scanned image, lowest offset first, applying each edit to `scan` as it
+// commits. Instruction boundaries come from the scan's sweep of the whole
+// image, so consecutive pages share one scan. `config.pattern` must be the
+// scan's pattern; `config.rewrite_page_base` / `rewrite_page_capacity`
+// describe the page's private snippet sub-window. Patches may spill a few
+// bytes past the page edge when a rewrite window straddles it, which is why
+// the cache key hashes the page plus boundary context.
+sb::StatusOr<PageRewrite> RewriteVmfuncPage(ImageScan& scan, size_t page_index,
                                             const RewriteConfig& config);
 
 }  // namespace x86

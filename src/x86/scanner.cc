@@ -1,13 +1,18 @@
 #include "src/x86/scanner.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
+#include "src/base/logging.h"
 #include "src/base/thread_pool.h"
 #include "src/x86/decoder.h"
 
 namespace x86 {
 namespace {
+
+// Longest x86 instruction: the most bytes one Decode call reads.
+constexpr size_t kMaxInsnBytes = 15;
 
 // Appends every pattern start in [begin, limit) to `out`, memchr-hopping
 // between 0x0F candidates. The caller guarantees limit + 2 <= code.size(),
@@ -27,6 +32,42 @@ void ScanRange(std::span<const uint8_t> code, size_t begin, size_t limit,
     }
     i = off + 1;
   }
+}
+
+// Classifies the occurrence at `off` against the instruction starting at
+// `insn_start` (the last linear-sweep start <= off).
+VmfuncHit ClassifyHit(std::span<const uint8_t> code, size_t insn_start, size_t off,
+                      const uint8_t* pattern) {
+  VmfuncHit hit;
+  hit.pattern_off = off;
+  hit.insn_off = insn_start;
+  const Insn insn = Decode(code, insn_start);
+  if (!insn.valid) {
+    hit.overlap = VmfuncOverlap::kUndecodable;
+    return hit;
+  }
+  if (off + 3 > insn_start + insn.length) {
+    hit.overlap = VmfuncOverlap::kSpans;
+    return hit;
+  }
+  const size_t rel = off - insn_start;  // Field offsets are insn-relative.
+  // Which gate mnemonic counts as "the pattern is the instruction itself"
+  // depends on the triple being scanned (0F 01 D4 vs 0F 01 EF).
+  const Mnemonic gate = pattern[2] == kWrpkruBytes[2] ? Mnemonic::kWrpkru : Mnemonic::kVmfunc;
+  if (insn.mnemonic == gate && rel == insn.opcode_off) {
+    hit.overlap = VmfuncOverlap::kIsVmfunc;
+  } else if (insn.has_modrm && rel == insn.modrm_off) {
+    hit.overlap = VmfuncOverlap::kInModrm;
+  } else if (insn.has_sib && rel == insn.sib_off) {
+    hit.overlap = VmfuncOverlap::kInSib;
+  } else if (insn.disp_len > 0 && rel >= insn.disp_off && rel < insn.disp_off + insn.disp_len) {
+    hit.overlap = VmfuncOverlap::kInDisp;
+  } else if (insn.imm_len > 0 && rel >= insn.imm_off && rel < insn.imm_off + insn.imm_len) {
+    hit.overlap = VmfuncOverlap::kInImm;
+  } else {
+    hit.overlap = VmfuncOverlap::kInOpcode;
+  }
+  return hit;
 }
 
 }  // namespace
@@ -85,48 +126,123 @@ std::vector<VmfuncHit> ScanForVmfunc(std::span<const uint8_t> code, const ScanOp
     return hits;
   }
   const std::vector<size_t> starts = LinearSweep(code);
-
+  const uint8_t* pattern = options.pattern == nullptr ? kVmfuncBytes : options.pattern;
   for (const size_t off : raw) {
-    VmfuncHit hit;
-    hit.pattern_off = off;
     // The instruction whose bytes contain `off`: the last start <= off.
     auto it = std::upper_bound(starts.begin(), starts.end(), off);
-    const size_t insn_start = *std::prev(it);
-    hit.insn_off = insn_start;
-
-    const Insn insn = Decode(code, insn_start);
-    if (!insn.valid) {
-      hit.overlap = VmfuncOverlap::kUndecodable;
-      hits.push_back(hit);
-      continue;
-    }
-    if (off + 3 > insn_start + insn.length) {
-      hit.overlap = VmfuncOverlap::kSpans;
-      hits.push_back(hit);
-      continue;
-    }
-    const size_t rel = off - insn_start;  // Field offsets are insn-relative.
-    // Which gate mnemonic counts as "the pattern is the instruction itself"
-    // depends on the triple being scanned (0F 01 D4 vs 0F 01 EF).
-    const Mnemonic gate = (options.pattern != nullptr && options.pattern[2] == kWrpkruBytes[2])
-                              ? Mnemonic::kWrpkru
-                              : Mnemonic::kVmfunc;
-    if (insn.mnemonic == gate && rel == insn.opcode_off) {
-      hit.overlap = VmfuncOverlap::kIsVmfunc;
-    } else if (insn.has_modrm && rel == insn.modrm_off) {
-      hit.overlap = VmfuncOverlap::kInModrm;
-    } else if (insn.has_sib && rel == insn.sib_off) {
-      hit.overlap = VmfuncOverlap::kInSib;
-    } else if (insn.disp_len > 0 && rel >= insn.disp_off && rel < insn.disp_off + insn.disp_len) {
-      hit.overlap = VmfuncOverlap::kInDisp;
-    } else if (insn.imm_len > 0 && rel >= insn.imm_off && rel < insn.imm_off + insn.imm_len) {
-      hit.overlap = VmfuncOverlap::kInImm;
-    } else {
-      hit.overlap = VmfuncOverlap::kInOpcode;
-    }
-    hits.push_back(hit);
+    hits.push_back(ClassifyHit(code, *std::prev(it), off, pattern));
   }
   return hits;
+}
+
+// ---- ImageScan ----
+
+ImageScan::ImageScan(std::vector<uint8_t> code, const ScanOptions& options)
+    : code_(std::move(code)) {
+  index_.pattern = options.pattern == nullptr ? kVmfuncBytes : options.pattern;
+  index_.raw = FindVmfuncBytes(code_, options);
+  index_.start_bits.assign((code_.size() + 63) / 64, 0);
+  for (const size_t start : LinearSweep(code_)) {
+    SetStart(start);
+  }
+}
+
+ImageScan::ImageScan(std::vector<uint8_t> code, ScanIndex index)
+    : code_(std::move(code)), index_(std::move(index)) {
+  SB_CHECK(index_.start_bits.size() == (code_.size() + 63) / 64)
+      << "scan index does not match the image size";
+}
+
+void ImageScan::SetPattern(const ScanOptions& options) {
+  const uint8_t* pattern = options.pattern == nullptr ? kVmfuncBytes : options.pattern;
+  if (std::memcmp(pattern, index_.pattern, 3) == 0) {
+    return;
+  }
+  index_.pattern = pattern;
+  index_.raw = FindVmfuncBytes(code_, options);
+}
+
+void ImageScan::Patch(size_t off, std::span<const uint8_t> bytes) {
+  SB_CHECK(off + bytes.size() <= code_.size()) << "patch outside the image";
+  if (bytes.empty()) {
+    return;
+  }
+  std::copy(bytes.begin(), bytes.end(), code_.begin() + static_cast<long>(off));
+  const size_t lo = off;
+  const size_t hi = off + bytes.size();
+
+  // Raw offsets: only triples starting in [lo - 2, hi) read a patched byte.
+  const size_t raw_lo = lo >= 2 ? lo - 2 : 0;
+  const size_t raw_hi = std::min(hi, code_.size() >= 2 ? code_.size() - 2 : 0);
+  std::vector<size_t>& raw = index_.raw;
+  auto first = std::lower_bound(raw.begin(), raw.end(), raw_lo);
+  auto last = std::lower_bound(first, raw.end(), hi);
+  std::vector<size_t> found;
+  if (raw_lo < raw_hi) {
+    ScanRange(code_, raw_lo, raw_hi, index_.pattern, found);
+  }
+  first = raw.erase(first, last);
+  raw.insert(first, found.begin(), found.end());
+
+  // Instruction starts: restart from a start whose decode cannot have read
+  // a patched byte, and stop once the sweep rejoins the old one past `hi`.
+  size_t pos = lo >= kMaxInsnBytes ? LastStartAtOrBefore(lo - kMaxInsnBytes) : 0;
+  while (true) {
+    const size_t next = pos + Decode(code_, pos).length;
+    ClearStarts(pos + 1, std::min(next, code_.size()));
+    if (next >= code_.size() || (next >= hi && IsStart(next))) {
+      return;
+    }
+    SetStart(next);
+    pos = next;
+  }
+}
+
+void ImageScan::ClearStarts(size_t lo, size_t hi) {
+  for (size_t i = lo; i < hi; ++i) {
+    index_.start_bits[i >> 6] &= ~(1ULL << (i & 63));
+  }
+}
+
+size_t ImageScan::LastStartAtOrBefore(size_t off) const {
+  size_t word = off >> 6;
+  uint64_t bits = index_.start_bits[word] & (~0ULL >> (63 - (off & 63)));
+  while (bits == 0) {
+    SB_CHECK(word > 0) << "no instruction start at or before " << off;
+    bits = index_.start_bits[--word];
+  }
+  return (word << 6) + 63 - static_cast<size_t>(std::countl_zero(bits));
+}
+
+size_t ImageScan::NextStart(size_t off) const {
+  if (off >= code_.size()) {
+    return code_.size();
+  }
+  size_t word = off >> 6;
+  uint64_t bits = index_.start_bits[word] & (~0ULL << (off & 63));
+  while (bits == 0) {
+    if (++word == index_.start_bits.size()) {
+      return code_.size();
+    }
+    bits = index_.start_bits[word];
+  }
+  return (word << 6) + static_cast<size_t>(std::countr_zero(bits));
+}
+
+std::vector<size_t> ImageScan::Starts() const {
+  std::vector<size_t> starts;
+  for (size_t s = NextStart(0); s < code_.size(); s = NextStart(s + 1)) {
+    starts.push_back(s);
+  }
+  return starts;
+}
+
+std::optional<VmfuncHit> ImageScan::FirstHit(size_t lo, size_t hi) const {
+  auto it = std::lower_bound(index_.raw.begin(), index_.raw.end(), lo);
+  if (it == index_.raw.end() || *it >= hi) {
+    return std::nullopt;
+  }
+  return ClassifyHit(code_, LastStartAtOrBefore(*it), *it, index_.pattern);
 }
 
 }  // namespace x86

@@ -13,6 +13,11 @@
 // starts inside its own byte range (reading up to two bytes past it for
 // straddling patterns), so the merged result is byte-identical to the
 // serial scan regardless of thread scheduling.
+//
+// ImageScan is the rewriter's incremental form of the same scan: it finds
+// the raw offsets and the linear-sweep instruction starts of an image once,
+// then keeps both exact across patches by re-scanning only the bytes an edit
+// can have changed (DESIGN.md section 17).
 
 #ifndef SRC_X86_SCANNER_H_
 #define SRC_X86_SCANNER_H_
@@ -20,6 +25,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -72,6 +78,62 @@ struct ScanOptions {
 // ascending offset order.
 std::vector<size_t> FindVmfuncBytes(std::span<const uint8_t> code);
 std::vector<size_t> FindVmfuncBytes(std::span<const uint8_t> code, const ScanOptions& options);
+
+// What one scan of an image learns: the linear-sweep instruction starts (one
+// bit per code byte) and the ascending raw offsets of `pattern`. The index of
+// a template is all a byte-identical fork needs to skip its own sweep.
+struct ScanIndex {
+  const uint8_t* pattern = kVmfuncBytes;
+  std::vector<uint64_t> start_bits;  // Bit i set: an instruction starts at i.
+  std::vector<size_t> raw;
+};
+
+// Incremental scan state of one code image. Construction runs the full scan
+// (FindVmfuncBytes + a linear sweep); Patch() keeps the index equal to what a
+// fresh scan of the patched bytes would find, re-scanning only
+//   - raw offsets in [lo - 2, hi): the only triples that read a byte of the
+//     patched range [lo, hi);
+//   - instruction starts from the last start <= lo - 15 (Decode reads at
+//     most 15 bytes, so that start and every earlier one decode as before),
+//     until the sweep lands on an old start >= hi, from where it follows the
+//     old path.
+class ImageScan {
+ public:
+  ImageScan(std::vector<uint8_t> code, const ScanOptions& options);
+  // Adopts an index previously taken from a scan of exactly these bytes.
+  ImageScan(std::vector<uint8_t> code, ScanIndex index);
+
+  std::span<const uint8_t> code() const { return code_; }
+  const ScanIndex& index() const { return index_; }
+  const uint8_t* pattern() const { return index_.pattern; }
+  std::vector<uint8_t> TakeCode() { return std::move(code_); }
+  ScanIndex TakeIndex() { return std::move(index_); }
+
+  // Replaces code[off, off + bytes.size()) and re-syncs the index.
+  void Patch(size_t off, std::span<const uint8_t> bytes);
+
+  // Re-targets the scan at options.pattern: re-finds the raw offsets and
+  // keeps the (pattern-independent) instruction starts. No-op when the
+  // pattern is unchanged.
+  void SetPattern(const ScanOptions& options);
+
+  // The classified occurrence with the lowest pattern offset in [lo, hi).
+  std::optional<VmfuncHit> FirstHit(size_t lo, size_t hi) const;
+
+  // The first instruction start >= off (code().size() when there is none).
+  size_t NextStart(size_t off) const;
+  // Every instruction start, ascending (LinearSweep's answer).
+  std::vector<size_t> Starts() const;
+
+ private:
+  bool IsStart(size_t off) const { return (index_.start_bits[off >> 6] >> (off & 63)) & 1; }
+  void SetStart(size_t off) { index_.start_bits[off >> 6] |= 1ULL << (off & 63); }
+  void ClearStarts(size_t lo, size_t hi);
+  size_t LastStartAtOrBefore(size_t off) const;
+
+  std::vector<uint8_t> code_;
+  ScanIndex index_;
+};
 
 // Full scan: find and classify every occurrence.
 std::vector<VmfuncHit> ScanForVmfunc(std::span<const uint8_t> code);

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "src/base/logging.h"
 #include "src/hw/cache.h"
 #include "src/hw/ept.h"
@@ -566,6 +569,124 @@ TEST(HostPhysMem, ContiguousSpanCoversRegionAndRejectsOverrun) {
   EXPECT_EQ(off, base + kPageSize);
   EXPECT_EQ(mem.ContiguousSpan(0x20000 + kPageSize, 4 * kPageSize), nullptr);  // Overrun.
   EXPECT_EQ(mem.ContiguousSpan(0x50000, kPageSize), nullptr);  // Unbacked.
+}
+
+// ---- Backing on first write (the frame table) ----
+
+TEST(HostPhysMem, AllocatedButUnwrittenFramesStayUnbacked) {
+  HostPhysMem mem(64 * kMiB);
+  FrameAllocator alloc(0x100000, 16 * kMiB);
+  auto single = alloc.Alloc(mem);
+  auto heap = alloc.AllocContiguous(mem, 2048);  // An 8 MiB process heap.
+  ASSERT_TRUE(single.ok());
+  ASSERT_TRUE(heap.ok());
+  EXPECT_EQ(mem.resident_frames(), 0u);
+  EXPECT_EQ(mem.ReadU64(*single), 0u);
+  EXPECT_EQ(mem.ReadU64(*heap + 2047 * kPageSize + 8), 0u);
+  EXPECT_EQ(mem.resident_frames(), 0u);  // Reads never back a frame.
+  mem.WriteU8(*heap + 5 * kPageSize, 1);
+  EXPECT_EQ(mem.resident_frames(), 1u);
+}
+
+TEST(HostPhysMem, WrittenFreedAndReallocatedFrameReadsZero) {
+  HostPhysMem mem(16 * kMiB);
+  FrameAllocator alloc(0x100000, kPageSize);  // One frame: reuse is forced.
+  auto frame = alloc.Alloc(mem);
+  ASSERT_TRUE(frame.ok());
+  std::vector<uint8_t> dirty(kPageSize, 0x5a);
+  mem.Write(*frame, dirty);
+  alloc.Free(*frame);
+  auto again = alloc.Alloc(mem);
+  ASSERT_TRUE(again.ok());
+  ASSERT_EQ(*again, *frame);
+  std::vector<uint8_t> out(kPageSize, 0xff);
+  mem.Read(*again, out);
+  EXPECT_EQ(out, std::vector<uint8_t>(kPageSize, 0));
+  EXPECT_EQ(mem.resident_frames(), 1u);  // Re-zeroed in place, not re-backed.
+}
+
+// Host threads simulating different cores may be the first to write a frame
+// at the same time. Every write must land, and each frame be backed once.
+TEST(HostPhysMem, ConcurrentFirstWritesAllLand) {
+  HostPhysMem mem(64 * kMiB);
+  constexpr int kThreads = 4;
+  constexpr uint64_t kFrames = 1024;  // Two leaves, every frame shared.
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&mem, t] {
+      for (uint64_t f = 0; f < kFrames; ++f) {
+        mem.WriteU64(f * kPageSize + 8 * static_cast<uint64_t>(t), f * kThreads + t + 1);
+      }
+    });
+  }
+  for (std::thread& w : writers) {
+    w.join();
+  }
+  EXPECT_EQ(mem.resident_frames(), kFrames);
+  for (uint64_t f = 0; f < kFrames; ++f) {
+    for (int t = 0; t < kThreads; ++t) {
+      ASSERT_EQ(mem.ReadU64(f * kPageSize + 8 * static_cast<uint64_t>(t)), f * kThreads + t + 1)
+          << "frame " << f << " thread " << t;
+    }
+  }
+}
+
+TEST(HostPhysMem, BackContiguousOverMixedBackedAndUnbackedFrames) {
+  HostPhysMem mem(64 * kMiB);
+  // Frames 0 and 2 of the range are backed singly, 1 and 3 are not, and
+  // frame 4 sits in an older region the new one partly overlaps.
+  mem.BackContiguous(0x40000 + 4 * kPageSize, 2 * kPageSize);
+  mem.WriteU64(0x40000 + 16, 0x1111);
+  mem.WriteU64(0x40000 + 2 * kPageSize + 24, 0x2222);
+  mem.WriteU64(0x40000 + 4 * kPageSize + 32, 0x4444);
+  mem.WriteU64(0x40000 + 5 * kPageSize + 40, 0x5555);
+  const size_t resident = mem.resident_frames();
+  EXPECT_EQ(resident, 4u);
+  mem.BackContiguous(0x40000, 5 * kPageSize);
+  EXPECT_EQ(mem.resident_frames(), resident + 2);  // Frames 1 and 3.
+  EXPECT_EQ(mem.ReadU64(0x40000 + 16), 0x1111u);
+  EXPECT_EQ(mem.ReadU64(0x40000 + kPageSize + 16), 0u);
+  EXPECT_EQ(mem.ReadU64(0x40000 + 2 * kPageSize + 24), 0x2222u);
+  EXPECT_EQ(mem.ReadU64(0x40000 + 3 * kPageSize + 24), 0u);
+  EXPECT_EQ(mem.ReadU64(0x40000 + 4 * kPageSize + 32), 0x4444u);
+  EXPECT_EQ(mem.ReadU64(0x40000 + 5 * kPageSize + 40), 0x5555u);
+  // The new region is one span; the older one keeps only its tail frame.
+  uint8_t* span = mem.ContiguousSpan(0x40000, 5 * kPageSize);
+  ASSERT_NE(span, nullptr);
+  EXPECT_EQ(span[4 * kPageSize + 32], 0x44);
+  EXPECT_EQ(mem.ContiguousSpan(0x40000 + 4 * kPageSize, 2 * kPageSize), nullptr);
+  uint8_t* tail = mem.ContiguousSpan(0x40000 + 5 * kPageSize, kPageSize);
+  ASSERT_NE(tail, nullptr);
+  EXPECT_EQ(tail[40], 0x55);
+}
+
+TEST(HostPhysMem, ContiguousSpanLookupAcrossManyRegions) {
+  constexpr uint64_t kRegions = 16 * 1024;
+  constexpr uint64_t kRegionPages = 2;
+  HostPhysMem mem(256 * kMiB);
+  // Regions of two frames with a one-frame gap between neighbours.
+  const auto region_base = [](uint64_t r) { return r * (kRegionPages + 1) * kPageSize; };
+  for (uint64_t r = 0; r < kRegions; ++r) {
+    mem.BackContiguous(region_base(r), kRegionPages * kPageSize);
+  }
+  for (uint64_t r = 0; r < kRegions; r += 997) {
+    const Hpa base = region_base(r);
+    uint8_t* start = mem.ContiguousSpan(base, kRegionPages * kPageSize);
+    ASSERT_NE(start, nullptr) << r;
+    EXPECT_EQ(mem.ContiguousSpan(base + kPageSize + 100, 64), start + kPageSize + 100) << r;
+    EXPECT_EQ(mem.ContiguousSpan(base + kPageSize, 2 * kPageSize), nullptr) << r;  // Overrun.
+    EXPECT_EQ(mem.ContiguousSpan(base + kRegionPages * kPageSize, 8), nullptr) << r;  // Gap.
+  }
+  // Re-backing two neighbours and their gap as one region replaces both.
+  const Hpa merged = region_base(100);
+  mem.WriteU8(merged + 7, 0x77);
+  mem.BackContiguous(merged, (2 * kRegionPages + 1) * kPageSize);
+  uint8_t* span = mem.ContiguousSpan(merged, (2 * kRegionPages + 1) * kPageSize);
+  ASSERT_NE(span, nullptr);
+  EXPECT_EQ(span[7], 0x77);
+  EXPECT_EQ(mem.ContiguousSpan(region_base(101), kPageSize), span + region_base(101) - merged);
+  EXPECT_NE(mem.ContiguousSpan(region_base(102), kPageSize), nullptr);  // Untouched neighbour.
+  EXPECT_EQ(mem.ContiguousSpan(region_base(102) - 8, 16), nullptr);     // Straddles two regions.
 }
 
 // ---- Bulk-copy engine ----

@@ -2,7 +2,9 @@
 // reference map, file-system operations against a reference model (with a
 // remount in the middle), and executor determinism.
 
+#include <algorithm>
 #include <map>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -519,6 +521,198 @@ TEST(RewriteScrubProperty, Table6CorpusRewritesToZeroOccurrences) {
     ASSERT_TRUE(rewritten.ok()) << program.name;
     EXPECT_TRUE(x86::FindVmfuncBytes(rewritten->code).empty()) << program.name;
     EXPECT_TRUE(x86::FindVmfuncBytes(rewritten->rewrite_page).empty()) << program.name;
+  }
+}
+
+// ---- The one-sweep scan engine == a fresh rescan ----
+//
+// x86::ImageScan scans an image once and re-syncs only around each patch
+// (DESIGN.md section 17). These properties pin it against fresh scans: after
+// every committed patch its starts and raw offsets equal LinearSweep and
+// FindVmfuncBytes of the patched bytes, and the page-by-page scrub equals
+// the rescan-per-hit algorithm it replaced, kept below as the reference.
+
+constexpr size_t kCodePage = 4096;
+
+x86::RewriteConfig PageConfig(size_t page, const uint8_t* pattern) {
+  x86::RewriteConfig config;
+  config.rewrite_page_base = kRwPageBase + page * kCodePage;
+  config.rewrite_page_capacity = kCodePage;
+  config.pattern = pattern;
+  return config;
+}
+
+x86::ScanOptions PatternOptions(const uint8_t* pattern) {
+  x86::ScanOptions options;
+  options.pattern = pattern;
+  return options;
+}
+
+void ExpectIndexIsFresh(const x86::ImageScan& scan, const std::string& what) {
+  ASSERT_EQ(scan.Starts(), x86::LinearSweep(scan.code())) << what;
+  ASSERT_EQ(scan.index().raw, x86::FindVmfuncBytes(scan.code(), PatternOptions(scan.pattern())))
+      << what;
+}
+
+struct PageOutcome {
+  sb::ErrorCode code = sb::ErrorCode::kOk;
+  std::vector<uint8_t> snippets;
+  int nop_replaced = 0;
+  int windows_relocated = 0;
+};
+
+// The reference: scrubs page `page` of `working` in place the way the
+// rescan engine did — a whole-image ScanForVmfunc before every hit, taking
+// the first hit the page owns.
+PageOutcome ReferenceScrubPage(std::vector<uint8_t>& working, size_t page,
+                               const uint8_t* pattern) {
+  const x86::RewriteConfig config = PageConfig(page, pattern);
+  PageOutcome out;
+  x86::RewriteStats stats;
+  for (int iter = 0;; ++iter) {
+    if (iter == config.max_iterations) {
+      out.code = sb::ErrorCode::kInternal;
+      break;
+    }
+    const std::vector<x86::VmfuncHit> hits =
+        x86::ScanForVmfunc(working, PatternOptions(pattern));
+    const x86::VmfuncHit* owned = nullptr;
+    for (const x86::VmfuncHit& hit : hits) {
+      if (hit.pattern_off / kCodePage == page) {
+        owned = &hit;
+        break;
+      }
+    }
+    if (owned == nullptr) {
+      break;
+    }
+    auto patch = x86::RewriteHit(working, out.snippets, config, *owned, stats);
+    if (!patch.ok()) {
+      out.code = patch.status().code();
+      break;
+    }
+    std::copy(patch->bytes.begin(), patch->bytes.end(),
+              working.begin() + static_cast<long>(patch->code_off));
+  }
+  out.nop_replaced = stats.nop_replaced;
+  out.windows_relocated = stats.windows_relocated;
+  return out;
+}
+
+// Scrubs every page of `code` for `pattern` with the engine and with the
+// reference, page by page, and replays each committed patch on a second scan
+// that is checked against fresh scans after every single patch. Returns the
+// number of patches committed.
+size_t CheckEngineAgainstReference(const std::vector<uint8_t>& code, const uint8_t* pattern,
+                                   const std::string& name) {
+  x86::ImageScan engine(code, PatternOptions(pattern));
+  x86::ImageScan replay(code, PatternOptions(pattern));
+  std::vector<uint8_t> reference = code;
+  // Rewriting never plants a new triple (RewriteHit keeps every edit and its
+  // junctions pattern-free), so pages without one at the start stay clean;
+  // the reference skips them to keep its quadratic scan affordable.
+  std::vector<bool> has_hit((code.size() + kCodePage - 1) / kCodePage, false);
+  for (const size_t off : x86::FindVmfuncBytes(code, PatternOptions(pattern))) {
+    has_hit[off / kCodePage] = true;
+  }
+  size_t patches = 0;
+  for (size_t page = 0; page < has_hit.size(); ++page) {
+    const std::string what = name + " page " + std::to_string(page);
+    auto rewritten = x86::RewriteVmfuncPage(engine, page, PageConfig(page, pattern));
+    if (!has_hit[page]) {
+      EXPECT_TRUE(rewritten.ok() && rewritten->patches.empty()) << what;
+      continue;
+    }
+    const PageOutcome expected = ReferenceScrubPage(reference, page, pattern);
+    EXPECT_EQ(rewritten.status().code(), expected.code) << what;
+    if (!rewritten.ok() || expected.code != sb::ErrorCode::kOk) {
+      return patches;  // Both engines stop at the same failure.
+    }
+    EXPECT_EQ(rewritten->snippets, expected.snippets) << what;
+    EXPECT_EQ(rewritten->stats.nop_replaced, expected.nop_replaced) << what;
+    EXPECT_EQ(rewritten->stats.windows_relocated, expected.windows_relocated) << what;
+    for (const x86::PagePatch& patch : rewritten->patches) {
+      replay.Patch(patch.code_off, patch.bytes);
+      ExpectIndexIsFresh(replay, what + " after patch @" + std::to_string(patch.code_off));
+      ++patches;
+    }
+    EXPECT_TRUE(std::equal(engine.code().begin(), engine.code().end(), reference.begin(),
+                           reference.end()))
+        << what;
+  }
+  return patches;
+}
+
+// Random bytes with `triples` gate patterns (of either kind) injected.
+std::vector<uint8_t> RandomStreamWithTriples(sb::Rng& rng, size_t size, int triples) {
+  std::vector<uint8_t> bytes(size);
+  for (auto& b : bytes) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  for (int i = 0; i < triples; ++i) {
+    const uint8_t* pattern = rng.OneIn(2) ? x86::kVmfuncBytes : x86::kWrpkruBytes;
+    std::copy(pattern, pattern + 3, bytes.begin() + static_cast<long>(rng.Below(size - 3)));
+  }
+  return bytes;
+}
+
+TEST(ScanEngineProperty, Table6CorpusScrubsLikeTheRescanEngine) {
+  size_t patches = 0;
+  for (const apps::CorpusProgram& program : apps::BuildTable6Corpus(0x5eed)) {
+    for (const uint8_t* pattern : {x86::kVmfuncBytes, x86::kWrpkruBytes}) {
+      patches += CheckEngineAgainstReference(program.code, pattern, program.name);
+    }
+  }
+  EXPECT_GE(patches, 1u);  // GIMP-2.8's planted occurrence at least.
+}
+
+TEST(ScanEngineProperty, GeneratedProgramsScrubLikeTheRescanEngine) {
+  size_t patches = 0;
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    sb::Rng rng(seed * 0x9e3779b97f4a7c15ULL + 1);
+    const std::vector<uint8_t> plain = apps::GenerateProgram(rng, 8 * kCodePage);
+    const std::vector<uint8_t> planted =
+        apps::GenerateProgramWithCallImmPattern(rng, 8 * kCodePage);
+    for (const uint8_t* pattern : {x86::kVmfuncBytes, x86::kWrpkruBytes}) {
+      const std::string tag =
+          std::to_string(seed) + (pattern == x86::kVmfuncBytes ? " vmfunc" : " wrpkru");
+      patches += CheckEngineAgainstReference(plain, pattern, "program " + tag);
+      patches += CheckEngineAgainstReference(planted, pattern, "call-imm program " + tag);
+    }
+  }
+  EXPECT_GE(patches, 200u);  // Every call-imm program commits at least one.
+}
+
+TEST(ScanEngineProperty, RandomStreamsWithInjectedTriplesScrubLikeTheRescanEngine) {
+  size_t patches = 0;
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    sb::Rng rng(seed * 7919 + 3);
+    const std::vector<uint8_t> bytes = RandomStreamWithTriples(rng, 4 * kCodePage, 12);
+    for (const uint8_t* pattern : {x86::kVmfuncBytes, x86::kWrpkruBytes}) {
+      patches += CheckEngineAgainstReference(bytes, pattern, "stream " + std::to_string(seed));
+    }
+  }
+  EXPECT_GE(patches, 200u);
+}
+
+// Patch() on arbitrary edits, not just rewrite windows: random lengths at
+// random offsets, including the first and last bytes of the image.
+TEST(ScanEngineProperty, ArbitraryPatchesKeepTheIndexFresh) {
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    sb::Rng rng(seed * 104729 + 11);
+    const uint8_t* pattern = seed % 2 == 0 ? x86::kVmfuncBytes : x86::kWrpkruBytes;
+    x86::ImageScan scan(RandomStreamWithTriples(rng, 2 * kCodePage, 8), PatternOptions(pattern));
+    ExpectIndexIsFresh(scan, "seed " + std::to_string(seed));
+    for (int i = 0; i < 20; ++i) {
+      const size_t len = 1 + rng.Below(24);
+      const size_t off = i == 0 ? 0 : i == 1 ? scan.code().size() - len
+                                             : rng.Below(scan.code().size() - len + 1);
+      std::vector<uint8_t> bytes =
+          rng.OneIn(3) ? std::vector<uint8_t>(len, 0x90) : RandomStreamWithTriples(rng, len + 3, 1);
+      bytes.resize(len);
+      scan.Patch(off, bytes);
+      ExpectIndexIsFresh(scan, "seed " + std::to_string(seed) + " patch " + std::to_string(i));
+    }
   }
 }
 

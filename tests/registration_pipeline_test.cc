@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/base/faultpoint.h"
@@ -183,6 +184,39 @@ TEST_F(RegistrationPipelineTest, BackendPatternsNeverShareCacheEntries) {
   EXPECT_EQ(sky_->stats().cache_misses, 8u);  // The cold WRPKRU pass.
   EXPECT_TRUE(x86::FindVmfuncBytes(b->code_image()).empty());
   EXPECT_TRUE(x86::FindVmfuncBytes(b->code_image(), wrpkru).empty());
+}
+
+// Two 2-page NOP images whose page 1 hashes identically (bytes and +-64 B
+// context), but B's extra 0xB8 at offset 2999 shifts the linear sweep by one
+// byte through the run of 0xB8s: in A the triple at 4100 is a true VMFUNC
+// (C1, NOPed out), in B it is the immediate of the `mov eax, imm32` at 4099
+// (C3, relocated). The key pins where the sweep enters page 1's context, so
+// B must not replay A's page-1 rewrite over its immediate.
+TEST_F(RegistrationPipelineTest, SweepEntryIsPartOfTheCacheKey) {
+  std::vector<uint8_t> a(2 * kPageSize, 0x90);
+  std::fill(a.begin() + 3000, a.begin() + 4100, 0xb8);
+  std::copy(x86::kVmfuncBytes, x86::kVmfuncBytes + 3, a.begin() + 4100);
+  std::vector<uint8_t> b = a;
+  b[2999] = 0xb8;
+  ASSERT_EQ(x86::HashCodePage(a, 1), x86::HashCodePage(b, 1));
+
+  // What B's rewrite must be: B registered with the rewrite cache disabled.
+  SkyBridgeConfig nocache = EagerConfig();
+  nocache.rewrite_cache_entries = 0;
+  Boot(nocache);
+  auto* alone = kernel_->CreateProcessWithImage("b-alone", b).value();
+  ASSERT_TRUE(sky_->RegisterServer(alone, 4, EchoHandler(), CrossingBackendKind::kEptp).ok());
+  const std::vector<uint8_t> expected = alone->code_image();
+  ASSERT_EQ(expected[4099], 0xe9);  // B's mov was relocated behind a JMP.
+
+  Boot();
+  auto* pa = kernel_->CreateProcessWithImage("a", a).value();
+  ASSERT_TRUE(sky_->RegisterServer(pa, 4, EchoHandler(), CrossingBackendKind::kEptp).ok());
+  EXPECT_EQ(pa->code_image()[4100], 0x90);  // A's VMFUNC was NOPed out.
+  auto* pb = kernel_->CreateProcessWithImage("b", b).value();
+  ASSERT_TRUE(sky_->RegisterServer(pb, 4, EchoHandler(), CrossingBackendKind::kEptp).ok());
+  EXPECT_EQ(pb->code_image(), expected);
+  EXPECT_EQ(sky_->stats().cache_hits, 0u);
 }
 
 // Unit-level key semantics and the bounded LRU budget.
