@@ -1,5 +1,5 @@
 // Cold-start sweep (DESIGN.md section 17): spawn-to-first-call latency for a
-// fleet of workers cloned from one multi-page template image, under the four
+// fleet of workers cloned from one multi-page template image, under three
 // registration strategies:
 //
 //   eager-nocache  full per-page scan on every registration (the ablation
@@ -8,18 +8,14 @@
 //                  content-hashed rewrite cache
 //   lazy           rewrite-on-first-execute: registration arms non-exec
 //                  pages, the first call faults its pages in
-//   snapshot       first worker scans and auto-captures; every clone
-//                  restores the finished registration (bulk copy, no scan)
 //
 // Swept over 1 / 10 / 100 / 1000 workers. Self-checks (CI gates these via
 // scripts/run_all.sh):
-//   snapshot spawn-to-first-call >= 10x cheaper than eager-nocache @ 100
 //   100% rewrite-cache hit rate for the 99 identical forks @ 100 (eager)
 //   lazy steady-state cycles/call within 10% of eager after warm-up
 //
 // JSON keys: coldstart.<mode>.workers<N>.cycles_per_spawn plus the gate
-// metrics coldstart.snapshot_speedup_100, coldstart.fork_hit_rate_100 and
-// coldstart.lazy_steady_overhead.
+// metrics coldstart.fork_hit_rate_100 and coldstart.lazy_steady_overhead.
 
 #include <cstdio>
 #include <memory>
@@ -49,12 +45,11 @@ const Mode kModes[] = {
     {"eager-nocache", skybridge::RegistrationMode::kEager, 0},
     {"eager", skybridge::RegistrationMode::kEager, 4096},
     {"lazy", skybridge::RegistrationMode::kLazy, 4096},
-    {"snapshot", skybridge::RegistrationMode::kSnapshot, 4096},
 };
 
 // The worker template: a 16-page NOP sled with two embedded gate patterns —
 // enough image for the scan cost to dominate the eager cold start, with
-// real rewrite work (snippets) for the cache and snapshots to carry.
+// real rewrite work (snippets) for the cache to carry.
 std::vector<uint8_t> TemplateImage() {
   std::vector<uint8_t> image(kTemplatePages * sb::kPageSize, 0x90);
   auto plant = [&image](size_t offset) {
@@ -157,9 +152,7 @@ int main(int argc, char** argv) {
   const std::vector<uint8_t> image = TemplateImage();
   SB_CHECK(x86::FindVmfuncBytes(image).size() == 2);
 
-  sb::Table table({"workers", "eager-nocache", "eager", "lazy", "snapshot", "snap speedup"});
-  double eager_nocache_100 = 0;
-  double snapshot_100 = 0;
+  sb::Table table({"workers", "eager-nocache", "eager", "lazy"});
   double fork_hit_rate_100 = 0;
   double eager_steady = 0;
   double lazy_steady = 0;
@@ -175,9 +168,7 @@ int main(int argc, char** argv) {
                        std::to_string(workers) + ".cycles_per_spawn",
                    spawn.cycles_per_spawn);
       if (workers == 100) {
-        if (std::string(mode.name) == "eager-nocache") {
-          eager_nocache_100 = spawn.cycles_per_spawn;
-        } else if (std::string(mode.name) == "eager") {
+        if (std::string(mode.name) == "eager") {
           // Worker 1 scans the template's pages cold; workers 2..100 must
           // replay every page from the cache: hit rate over the forks.
           const uint64_t expected = static_cast<uint64_t>(workers - 1) * kTemplatePages;
@@ -187,22 +178,15 @@ int main(int argc, char** argv) {
           registry_json = w.machine->telemetry().SnapshotJson();
         } else if (std::string(mode.name) == "lazy") {
           lazy_steady = SteadyCyclesPerCall(w, spawn);
-        } else {
-          snapshot_100 = spawn.cycles_per_spawn;
         }
       }
     }
-    char speedup[32];
-    std::snprintf(speedup, sizeof(speedup), "%.1fx", row[0] / row[3]);
     table.AddRow({std::to_string(workers), std::to_string(static_cast<uint64_t>(row[0])),
                   std::to_string(static_cast<uint64_t>(row[1])),
-                  std::to_string(static_cast<uint64_t>(row[2])),
-                  std::to_string(static_cast<uint64_t>(row[3])), speedup});
+                  std::to_string(static_cast<uint64_t>(row[2]))});
   }
 
-  const double snapshot_speedup = eager_nocache_100 / snapshot_100;
   const double lazy_overhead = lazy_steady / eager_steady;
-  reporter.Add("coldstart.snapshot_speedup_100", snapshot_speedup);
   reporter.Add("coldstart.fork_hit_rate_100", fork_hit_rate_100);
   reporter.Add("coldstart.eager.steady_cycles_per_call", eager_steady);
   reporter.Add("coldstart.lazy.steady_cycles_per_call", lazy_steady);
@@ -212,17 +196,11 @@ int main(int argc, char** argv) {
   std::printf("Cold start: spawn-to-first-call cycles per worker (template: %zu pages)\n",
               kTemplatePages);
   table.Print();
-  std::printf("\nsnapshot speedup @100: %.1fx (bound: >= 10x)   fork hit rate @100: "
-              "%.1f%% (bound: 100%%)   lazy steady-state: %.0f vs eager %.0f "
-              "cycles/call (bound: within 10%%)\n",
-              snapshot_speedup, fork_hit_rate_100 * 100.0, lazy_steady, eager_steady);
+  std::printf("\nfork hit rate @100: %.1f%% (bound: 100%%)   lazy steady-state: %.0f vs "
+              "eager %.0f cycles/call (bound: within 10%%)\n",
+              fork_hit_rate_100 * 100.0, lazy_steady, eager_steady);
 
   // ---- Self-checks ----
-  if (snapshot_speedup < 10.0) {
-    std::printf("FAIL: snapshot restore must beat the eager full scan >= 10x at 100 "
-                "workers\n");
-    return 1;
-  }
   if (fork_hit_rate_100 < 1.0) {
     std::printf("FAIL: identical forks must replay 100%% from the rewrite cache\n");
     return 1;

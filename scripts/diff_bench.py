@@ -17,8 +17,7 @@ import sys
 # counts and booleans are skipped.
 SUFFIXES = ("cycles_per_op", "cycles_per_get", "cycles_per_call", "cycles",
             "ops_per_sec", "speedup_16", "speedup_8c", "overhead",
-            "slot_fault_rate", "cycles_per_spawn", "snapshot_speedup_100",
-            "fork_hit_rate_100")
+            "slot_fault_rate", "cycles_per_spawn", "fork_hit_rate_100")
 
 # Tail-latency series from the open-loop sweep: flagged separately when p99
 # or p99.9 regresses by more than 10% (still non-gating — queueing tails are

@@ -40,10 +40,9 @@ for b in build/bench/*; do
     # offered loads; pin the seed so BENCH_results.json is reproducible.
     "$b" --seed 42 --events 4096 --json "bench_json/$name.json"
   elif [ "$name" = "bench_coldstart" ]; then
-    # Cold-start smoke gate: the binary self-checks snapshot restore >= 10x
-    # cheaper than the eager full scan at 100 workers, a 100% rewrite-cache
-    # hit rate across identical forks, and lazy steady-state parity with
-    # eager; any violated bound exits nonzero and (set -e) fails the run.
+    # Cold-start smoke gate: the binary self-checks a 100% rewrite-cache hit
+    # rate across identical forks and lazy steady-state parity with eager;
+    # any violated bound exits nonzero and (set -e) fails the run.
     "$b" --json "bench_json/$name.json"
   elif [ "$name" = "bench_scaling_mesh" ]; then
     # 16,384-binding mesh: 11 full world builds; cap the per-config zipfian

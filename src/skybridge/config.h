@@ -11,12 +11,38 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
+#include <string>
 
+#include "src/base/logging.h"
 #include "src/hw/vmcs.h"
 
 namespace skybridge {
 
 using ServerId = uint64_t;
+
+// Reads environment variable `var` as the name of one of `choices`, so the
+// CI matrices can steer whole test binaries without code changes. Unset or
+// empty selects the first choice (the default); any other value that names
+// no choice is a fatal configuration error listing the accepted names.
+template <typename Enum>
+Enum EnumFromEnv(const char* var, std::initializer_list<Enum> choices,
+                 const char* (*name)(Enum)) {
+  const char* env = std::getenv(var);
+  if (env == nullptr || *env == '\0') {
+    return *choices.begin();
+  }
+  std::string accepted;
+  for (Enum choice : choices) {
+    if (std::strcmp(env, name(choice)) == 0) {
+      return choice;
+    }
+    accepted += accepted.empty() ? "" : ", ";
+    accepted += name(choice);
+  }
+  SB_CHECK(false) << var << "=\"" << env << "\" is not one of: " << accepted;
+  return *choices.begin();
+}
 
 // ---- Crossing backends (DESIGN.md section 16) ----
 // The domain-switch primitive a binding crosses on. Selected per binding at
@@ -43,19 +69,12 @@ inline constexpr const char* CrossingBackendName(CrossingBackendKind kind) {
 }
 
 // Default backend for new worlds: the SB_CROSSING_BACKEND environment
-// variable ({eptp, mpk, syscall}; anything else falls back to eptp) so the CI
-// backend matrix can steer whole test binaries without code changes.
+// variable (eptp when unset; see EnumFromEnv).
 inline CrossingBackendKind DefaultCrossingBackend() {
-  const char* env = std::getenv("SB_CROSSING_BACKEND");
-  if (env != nullptr) {
-    if (std::strcmp(env, "mpk") == 0) {
-      return CrossingBackendKind::kMpk;
-    }
-    if (std::strcmp(env, "syscall") == 0) {
-      return CrossingBackendKind::kSyscall;
-    }
-  }
-  return CrossingBackendKind::kEptp;
+  return EnumFromEnv("SB_CROSSING_BACKEND",
+                     {CrossingBackendKind::kEptp, CrossingBackendKind::kMpk,
+                      CrossingBackendKind::kSyscall},
+                     CrossingBackendName);
 }
 
 // ---- Registration modes (staged pipeline, DESIGN.md section 17) ----
@@ -64,17 +83,12 @@ inline CrossingBackendKind DefaultCrossingBackend() {
 //               Section 5 behaviour; the default).
 //   kLazy     — leave code pages non-executable in the EPTs and rewrite one
 //               page per exec-violation fault (rewrite-on-first-execute).
-//   kSnapshot — restore post-rewrite state from a registration snapshot of
-//               an identical template image; falls back to an eager prepare
-//               (auto-captured into the snapshot library) on the first
-//               sighting of an image.
+// An identical fork of a registered image needs no mode of its own: its
+// pages replay from the content-hashed rewrite cache.
 enum class RegistrationMode : uint8_t {
   kEager = 0,
   kLazy = 1,
-  kSnapshot = 2,
 };
-
-inline constexpr int kNumRegistrationModes = 3;
 
 inline constexpr const char* RegistrationModeName(RegistrationMode mode) {
   switch (mode) {
@@ -82,26 +96,15 @@ inline constexpr const char* RegistrationModeName(RegistrationMode mode) {
       return "eager";
     case RegistrationMode::kLazy:
       return "lazy";
-    case RegistrationMode::kSnapshot:
-      return "snapshot";
   }
   return "unknown";
 }
 
 // Default registration mode: the SB_REGISTRATION_MODE environment variable
-// ({eager, lazy, snapshot}; anything else falls back to eager) so the CI
-// matrix can steer whole test binaries without code changes.
+// (eager when unset; see EnumFromEnv).
 inline RegistrationMode DefaultRegistrationMode() {
-  const char* env = std::getenv("SB_REGISTRATION_MODE");
-  if (env != nullptr) {
-    if (std::strcmp(env, "lazy") == 0) {
-      return RegistrationMode::kLazy;
-    }
-    if (std::strcmp(env, "snapshot") == 0) {
-      return RegistrationMode::kSnapshot;
-    }
-  }
-  return RegistrationMode::kEager;
+  return EnumFromEnv("SB_REGISTRATION_MODE", {RegistrationMode::kEager, RegistrationMode::kLazy},
+                     RegistrationModeName);
 }
 
 // ---- Gate-frame layout constants (registration writes, the gate reads) ----
@@ -186,7 +189,7 @@ struct SkyBridgeConfig {
   // insecure and exists only to measure the cost).
   bool rewrite_binaries = true;
   // Staged registration pipeline mode (DESIGN.md section 17): eager scan at
-  // registration, rewrite-on-first-execute, or snapshot/restore.
+  // registration or rewrite-on-first-execute.
   RegistrationMode registration_mode = DefaultRegistrationMode();
   // Budget for the content-hashed rewrite cache (entries ≈ distinct
   // (page, backend) contents across live images). 0 disables caching —

@@ -5,9 +5,8 @@
 //
 // The scrub itself is a staged pipeline (DESIGN.md section 17): every page
 // flows through the content-hashed rewrite cache, and the registration mode
-// picks when pages flow — eagerly at registration, one page per
-// exec-violation fault (rewrite-on-first-execute), or never (restored from a
-// snapshot of an identical template).
+// picks when pages flow — eagerly at registration, or one page per
+// exec-violation fault (rewrite-on-first-execute).
 
 #include <algorithm>
 
@@ -106,8 +105,7 @@ sb::Status SkyBridge::ScrubPagesLocked(mk::Process* process, RegState& st,
       carried.SetPattern(scan_options);
       return carried;
     }
-    // Only a pristine image may share its template's index (a restored
-    // snapshot, say, carries the template's hash but rewritten bytes).
+    // Only a pristine image may share its template's index.
     const bool pristine = process->code_image() == st.pristine_image;
     const auto memo_key = std::make_pair(st.pristine_hash, pattern_id);
     if (auto it = scan_memo_.find(memo_key); pristine && it != scan_memo_.end()) {
@@ -184,7 +182,6 @@ sb::Status SkyBridge::ScrubPagesLocked(mk::Process* process, RegState& st,
             wgpa, process->address_space().MapAnonymous(wva, sb::kPageSize, flags));
       }
       kernel_->machine().mem().Write(wgpa, pr.snippets);
-      st.window_pages[wva] = pr.snippets;
     }
   }
   // Write the (partially) rewritten image back over the code pages.
@@ -319,7 +316,6 @@ sb::Status SkyBridge::UpdateProcessCode(mk::Process* process, std::vector<uint8_
       }
       st.image_pages = new_pages;
     }
-    st.window_pages.clear();
   }
 
   const uint8_t prepared = rewritten_patterns_[process];
@@ -358,34 +354,11 @@ sb::Status SkyBridge::EnsureProcessPrepared(mk::Process* process, CrossingBacken
     if (backend != CrossingBackendKind::kEptp) {
       needed |= PatternBit(backend);
     }
+    // Each pass is a no-op for a pattern the process already has.
     std::lock_guard<std::mutex> lock(reg_mu_);
-    const uint8_t have = rewritten_patterns_[process];
-    if ((needed & ~have) != 0) {
-      bool restored = false;
-      if (config_.registration_mode == RegistrationMode::kSnapshot && have == 0) {
-        // Near-instant cold start: an identical template was registered
-        // before — restore its post-rewrite state instead of scanning.
-        const uint64_t h = x86::HashBytes(process->code_image());
-        if (auto lib = snapshot_library_.find(h); lib != snapshot_library_.end() &&
-            (lib->second.prepared_mask & needed) == needed) {
-          SB_RETURN_IF_ERROR(RestoreLocked(process, lib->second));
-          restored = true;
-        }
-      }
-      if (!restored) {
-        for (uint8_t bit : {uint8_t{0x1}, uint8_t{0x2}}) {
-          if ((needed & bit) != 0) {
-            SB_RETURN_IF_ERROR(RewriteProcessImage(process, BackendForBit(bit)));
-          }
-        }
-        if (config_.registration_mode == RegistrationMode::kSnapshot) {
-          // First sighting of this template: auto-capture so the next clone
-          // restores.
-          sb::StatusOr<RegistrationSnapshot> snap = SnapshotLocked(process);
-          if (snap.ok()) {
-            snapshot_library_[snap->pristine_hash] = *std::move(snap);
-          }
-        }
+    for (uint8_t bit : {uint8_t{0x1}, uint8_t{0x2}}) {
+      if ((needed & bit) != 0) {
+        SB_RETURN_IF_ERROR(RewriteProcessImage(process, BackendForBit(bit)));
       }
     }
   }
@@ -408,88 +381,6 @@ sb::Status SkyBridge::EnsureProcessPrepared(mk::Process* process, CrossingBacken
             .status());
   }
   return sb::OkStatus();
-}
-
-// ---- Registration snapshot / restore (DESIGN.md section 17) ----
-
-sb::StatusOr<SkyBridge::RegistrationSnapshot> SkyBridge::SnapshotLocked(mk::Process* process) {
-  auto mit = rewritten_patterns_.find(process);
-  const uint8_t mask = mit == rewritten_patterns_.end() ? 0 : mit->second;
-  auto rit = reg_states_.find(process);
-  if (rit == reg_states_.end() || mask == 0) {
-    return sb::FailedPrecondition("process is not a prepared registration");
-  }
-  RegState& st = rit->second;
-  if (st.nonexec_mask != 0) {
-    return sb::FailedPrecondition(
-        "lazy rewrite incomplete: execute the image (or register eagerly) before capturing");
-  }
-  RegistrationSnapshot snap;
-  snap.pristine_hash = st.pristine_hash;
-  snap.prepared_mask = mask;
-  snap.code = process->code_image();
-  snap.window_pages.assign(st.window_pages.begin(), st.window_pages.end());
-  return snap;
-}
-
-sb::Status SkyBridge::RestoreLocked(mk::Process* process,
-                                    const RegistrationSnapshot& snapshot) {
-  if (auto mit = rewritten_patterns_.find(process);
-      mit != rewritten_patterns_.end() && mit->second != 0) {
-    return sb::FailedPrecondition("process already prepared; restore targets fresh clones");
-  }
-  if (snapshot.prepared_mask == 0 || snapshot.code.empty()) {
-    return sb::InvalidArgument("empty registration snapshot");
-  }
-  if (x86::HashBytes(process->code_image()) != snapshot.pristine_hash) {
-    return sb::FailedPrecondition("process image does not match the snapshot's template");
-  }
-  const hw::GuestWalk code_walk = process->address_space().WalkVa(mk::kCodeVa);
-  if (!code_walk.ok) {
-    return sb::FailedPrecondition("process has no code mapping");
-  }
-  SB_ASSIGN_OR_RETURN(RegState * st, EnsureRegStateLocked(process));
-  // A restore is bulk page copies — no scanning, no decoding.
-  uint64_t bytes = snapshot.code.size();
-  kernel_->machine().mem().Write(code_walk.gpa, snapshot.code);
-  process->set_code_image(snapshot.code);
-  st->scan.reset();
-  for (const auto& [wva, page] : snapshot.window_pages) {
-    hw::Gpa wgpa = 0;
-    if (const hw::GuestWalk ww = process->address_space().WalkVa(wva); ww.ok) {
-      wgpa = ww.gpa;
-    } else {
-      hw::PageFlags flags;
-      flags.writable = false;
-      SB_ASSIGN_OR_RETURN(
-          wgpa, process->address_space().MapAnonymous(wva, sb::kPageSize, flags));
-    }
-    kernel_->machine().mem().Write(wgpa, page);
-    st->window_pages[wva] = page;
-    bytes += page.size();
-  }
-  hw::Core& core = kernel_->machine().core(0);
-  const hw::CostModel& costs = core.costs();
-  core.AdvanceCycles(costs.bulk_startup + (bytes / 64) * costs.bulk_line);
-  rewritten_patterns_[process] = snapshot.prepared_mask;
-  metrics_.snapshot_restores->Add();
-  if (!process->code_rewritten()) {
-    process->set_code_rewritten(true);
-    metrics_.processes_rewritten->Add();
-  }
-  return sb::OkStatus();
-}
-
-sb::StatusOr<SkyBridge::RegistrationSnapshot> SkyBridge::SnapshotRegistration(
-    mk::Process* process) {
-  std::lock_guard<std::mutex> lock(reg_mu_);
-  return SnapshotLocked(process);
-}
-
-sb::Status SkyBridge::RestoreRegistration(mk::Process* process,
-                                          const RegistrationSnapshot& snapshot) {
-  std::lock_guard<std::mutex> lock(reg_mu_);
-  return RestoreLocked(process, snapshot);
 }
 
 // ---- Rewrite-on-first-execute (DESIGN.md section 17) ----

@@ -66,7 +66,6 @@ SkyBridge::SkyBridge(mk::Kernel& kernel, SkyBridgeConfig config)
   metrics_.lazy_rewrites = &reg.GetCounter("skybridge.registration.lazy_rewrites");
   metrics_.cache_hits = &reg.GetCounter("skybridge.registration.cache_hits");
   metrics_.cache_misses = &reg.GetCounter("skybridge.registration.cache_misses");
-  metrics_.snapshot_restores = &reg.GetCounter("skybridge.registration.snapshot_restores");
   metrics_.pages_rescanned = &reg.GetCounter("skybridge.registration.pages_rescanned");
   phase_exec_fault_ = &reg.GetHistogram("skybridge.phase.exec_fault");
   sb::telemetry::InstallTraceCrashDump();
@@ -169,7 +168,6 @@ const SkyBridgeStats& SkyBridge::stats() const {
   snapshot.lazy_rewrites = metrics_.lazy_rewrites->Value();
   snapshot.cache_hits = metrics_.cache_hits->Value();
   snapshot.cache_misses = metrics_.cache_misses->Value();
-  snapshot.snapshot_restores = metrics_.snapshot_restores->Value();
   snapshot.pages_rescanned = metrics_.pages_rescanned->Value();
   return snapshot;
 }

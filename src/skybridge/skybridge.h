@@ -108,7 +108,6 @@ struct SkyBridgeStats {
   uint64_t lazy_rewrites = 0;      // Pages rewritten by the exec-fault path.
   uint64_t cache_hits = 0;         // Rewrite-cache page hits (replays).
   uint64_t cache_misses = 0;       // Rewrite-cache page misses.
-  uint64_t snapshot_restores = 0;  // Registrations restored from a snapshot.
   uint64_t pages_rescanned = 0;    // Pages scanned from scratch (cache misses
                                    // plus cache-disabled scans).
 };
@@ -135,33 +134,6 @@ class SkyBridge {
   // update, then this call remaps them executable and *rescans/rewrites*
   // them so no new VMFUNC gate can appear.
   sb::Status UpdateProcessCode(mk::Process* process, std::vector<uint8_t> new_image);
-
-  // ---- Registration snapshot / restore (DESIGN.md section 17) ----
-  // Everything a fully-prepared registration derived from the code image:
-  // the post-rewrite code bytes, the populated snippet sub-window pages, and
-  // the pattern set they were scrubbed for. Keyed by the hash of the
-  // PRISTINE (pre-rewrite) image so a spawned worker cloned from the same
-  // template can restore without scanning a single page.
-  struct RegistrationSnapshot {
-    uint64_t pristine_hash = 0;  // FNV-1a of the pre-rewrite image.
-    uint8_t prepared_mask = 0;   // Pattern bits scrubbed (1=VMFUNC, 2=WRPKRU).
-    std::vector<uint8_t> code;   // Post-rewrite image.
-    // Snippet sub-window pages (va -> bytes), mapped read-only on restore.
-    std::vector<std::pair<hw::Gva, std::vector<uint8_t>>> window_pages;
-  };
-
-  // Captures the registration state of a fully-rewritten process.
-  // FailedPrecondition if the process was never prepared or still has
-  // non-executable pages awaiting their lazy rewrite (execute them, or
-  // register eagerly, before capturing).
-  sb::StatusOr<RegistrationSnapshot> SnapshotRegistration(mk::Process* process);
-
-  // Applies a snapshot to an unprepared process whose current image hashes
-  // to the snapshot's pristine_hash (an identical clone of the template).
-  // Charges only the bulk page copies — no scanning. FailedPrecondition on
-  // an already-prepared process or a pristine-hash mismatch.
-  sb::Status RestoreRegistration(mk::Process* process,
-                                 const RegistrationSnapshot& snapshot);
 
   // ---- The IPC itself ----
   // Executes the requested procedure in the server's address space on the
@@ -321,7 +293,7 @@ class SkyBridge {
  private:
   // ---- Staged registration pipeline state (DESIGN.md section 17) ----
   // Per prepared process. Guarded by reg_mu_ (slow path only: registration,
-  // code update, snapshot, exec-fault resolution).
+  // code update, exec-fault resolution).
   struct RegState {
     uint64_t pristine_hash = 0;           // Hash of the pre-rewrite image.
     std::vector<uint8_t> pristine_image;  // Pre-rewrite bytes (update diff).
@@ -332,23 +304,20 @@ class SkyBridge {
     // binding/chain EPT created while pages were still pending. A page's
     // rewrite flips it executable in all of them.
     std::vector<uint64_t> protect_epts;
-    // Snippet sub-window pages written so far (va -> bytes), accumulated for
-    // snapshot capture.
-    std::map<hw::Gva, std::vector<uint8_t>> window_pages;
     // Cache key inserted per (pattern, page) by the last scrub — compared on
     // UpdateProcessCode so only dirtied pages invalidate their entries.
     std::map<uint32_t, std::vector<x86::RewriteCacheKey>> page_keys;
     // The scan index of the current code image, carried from one scrub to
     // the next (lazy faults, the second pattern pass) so no scrub sweeps an
     // image twice. Absent before the first scrub and after the image is
-    // replaced (UpdateProcessCode, a snapshot restore); the next scrub then
+    // replaced (UpdateProcessCode); the next scrub then
     // adopts scan_memo_'s index if the image is pristine, or scans it.
     std::optional<x86::ScanIndex> scan;
   };
 
   sb::Status EnsureProcessPrepared(mk::Process* process, CrossingBackendKind backend);
-  // Mode dispatch: eager scrub, lazy arm, or (for UpdateProcessCode and the
-  // snapshot fallback) the unconditional eager pass. reg_mu_ held.
+  // Mode dispatch: the eager scrub or the lazy arm. UpdateProcessCode calls
+  // EagerPassLocked directly, whatever the mode. reg_mu_ held.
   sb::Status RewriteProcessImage(mk::Process* process, CrossingBackendKind backend);
   sb::Status EagerPassLocked(mk::Process* process, CrossingBackendKind backend);
   // Finds-or-creates the process's RegState (pristine capture, page GPAs,
@@ -370,9 +339,6 @@ class SkyBridge {
   // has no pending pages.
   sb::Status ProtectServerPagesInEpt(hw::Core& core, mk::Process* server,
                                      uint64_t ept_id);
-  // reg_mu_-held bodies of the public snapshot API.
-  sb::StatusOr<RegistrationSnapshot> SnapshotLocked(mk::Process* process);
-  sb::Status RestoreLocked(mk::Process* process, const RegistrationSnapshot& snapshot);
   // Hot-path guard: when any process still has non-executable pages, touch
   // the pages this call is about to execute (client call site, server
   // handler entry, the tag-dispatched code path) and deliver exec faults.
@@ -450,7 +416,6 @@ class SkyBridge {
     sb::telemetry::Counter* lazy_rewrites;
     sb::telemetry::Counter* cache_hits;
     sb::telemetry::Counter* cache_misses;
-    sb::telemetry::Counter* snapshot_restores;
     sb::telemetry::Counter* pages_rescanned;
   };
 
@@ -502,8 +467,8 @@ class SkyBridge {
   std::unordered_map<const mk::Process*, RegState> reg_states_;
   // Page-aligned code GPA -> (process, page index) for exec-fault routing.
   std::unordered_map<uint64_t, std::pair<mk::Process*, size_t>> gpa_to_page_;
-  // Processes that still have >= 1 non-executable code page. Zero in eager /
-  // snapshot / drained-lazy steady state, making EnsureCallExecutable one
+  // Processes that still have >= 1 non-executable code page. Zero in eager
+  // and drained-lazy steady state, making EnsureCallExecutable one
   // relaxed load.
   std::atomic<uint64_t> lazy_pending_{0};
   x86::RewriteCache rewrite_cache_;
@@ -514,8 +479,6 @@ class SkyBridge {
   std::map<std::pair<uint64_t, uint32_t>, x86::ScanIndex> scan_memo_;
   // Latency of the exec-fault slow path (fault delivery through rewrite).
   sb::telemetry::LatencyHistogram* phase_exec_fault_ = nullptr;
-  // Snapshot library for kSnapshot mode, keyed by pristine image hash.
-  std::unordered_map<uint64_t, RegistrationSnapshot> snapshot_library_;
   // Round-robin MPK protection-key allocator (keys 1..15; key 0 is the
   // default domain).
   uint8_t next_pkey_ = 0;

@@ -1,12 +1,15 @@
 // Staged registration pipeline tests (DESIGN.md section 17): the
 // content-hashed rewrite cache (fork determinism, cross-backend isolation,
 // bounded eviction), dirty-page-only invalidation on UpdateProcessCode,
-// rewrite-on-first-execute in lazy mode, snapshot/restore semantics, and the
-// kFaultExecScan recovery contract.
+// rewrite-on-first-execute in lazy mode, the kFaultExecScan recovery
+// contract, and the SB_* environment spellings the CI matrix steers.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "src/base/faultpoint.h"
@@ -58,7 +61,7 @@ SkyBridgeConfig EagerConfig() {
 class RegistrationPipelineTest : public ::testing::Test {
  protected:
   void Boot(SkyBridgeConfig config = EagerConfig()) {
-    // The cache/lazy/snapshot machinery under test lives on the view-slot
+    // The cache/lazy machinery under test lives on the view-slot
     // path; pin EPTP as the default backend against the SB_CROSSING_BACKEND
     // matrix (individual servers still pin their own backend).
     config.crossing_backend = CrossingBackendKind::kEptp;
@@ -146,6 +149,27 @@ TEST_F(RegistrationPipelineTest, IdenticalForkReplaysFromTheCacheDeterministical
   // Replay is deterministic: both rewrites are byte-identical.
   EXPECT_EQ(a->code_image(), b->code_image());
   EXPECT_TRUE(x86::FindVmfuncBytes(b->code_image()).empty());
+  // So are the snippet sub-window pages the replay maps: the relocated
+  // windows of pages 1 and 3 land in their own VMFUNC sub-window page, and
+  // no page maps one in only one of the forks.
+  for (size_t p = 0; p < 4; ++p) {
+    const hw::Gva wva = mk::kRewritePageVa + p * kPageSize;
+    const hw::GuestWalk wa = a->address_space().WalkVa(wva);
+    const hw::GuestWalk wb = b->address_space().WalkVa(wva);
+    ASSERT_EQ(wa.ok, p == 1 || p == 3) << "page " << p;
+    ASSERT_EQ(wb.ok, wa.ok) << "page " << p;
+    if (!wa.ok) {
+      continue;
+    }
+    std::vector<uint8_t> bytes_a(kPageSize);
+    std::vector<uint8_t> bytes_b(kPageSize);
+    machine_->mem().Read(wa.gpa, bytes_a);
+    machine_->mem().Read(wb.gpa, bytes_b);
+    EXPECT_NE(wa.gpa, wb.gpa) << "page " << p;
+    EXPECT_EQ(bytes_a, bytes_b) << "page " << p;
+    EXPECT_TRUE(std::any_of(bytes_a.begin(), bytes_a.end(), [](uint8_t x) { return x != 0; }))
+        << "page " << p;
+  }
 
   // Both forks actually serve.
   auto* client = kernel_->CreateProcess("client").value();
@@ -268,86 +292,6 @@ TEST_F(RegistrationPipelineTest, ZeroBudgetDisablesTheCache) {
   EXPECT_EQ(a->code_image(), b->code_image());
 }
 
-// Snapshot/restore: a captured registration re-applies to an identical clone
-// with zero scanning, and every precondition violation is rejected.
-TEST_F(RegistrationPipelineTest, SnapshotRestoreSkipsTheScanAndChecksPreconditions) {
-  Boot();
-  std::vector<uint8_t> image = NopImage(4);
-  PlantEmbedded(image, kPageSize + 2048, x86::kVmfuncBytes);
-  auto* tmpl = kernel_->CreateProcessWithImage("template", image).value();
-  const ServerId sid =
-      sky_->RegisterServer(tmpl, 4, EchoHandler(), CrossingBackendKind::kEptp).value();
-  const uint64_t scanned = sky_->stats().pages_rescanned;
-  ASSERT_EQ(scanned, 4u);
-
-  auto snapshot = sky_->SnapshotRegistration(tmpl);
-  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  EXPECT_EQ(snapshot->prepared_mask & 1u, 1u);
-  EXPECT_EQ(snapshot->code, tmpl->code_image());
-  EXPECT_FALSE(snapshot->window_pages.empty());
-
-  // Restore onto an identical clone: no scan, bulk copy only.
-  auto* clone = kernel_->CreateProcessWithImage("clone", image).value();
-  ASSERT_TRUE(sky_->RestoreRegistration(clone, *snapshot).ok());
-  EXPECT_TRUE(clone->code_rewritten());
-  EXPECT_EQ(clone->code_image(), tmpl->code_image());
-  EXPECT_EQ(sky_->stats().snapshot_restores, 1u);
-  EXPECT_EQ(sky_->stats().pages_rescanned, scanned);
-  // Registering the restored clone skips the rewrite pass entirely.
-  const ServerId clone_sid =
-      sky_->RegisterServer(clone, 4, EchoHandler(), CrossingBackendKind::kEptp).value();
-  EXPECT_EQ(sky_->stats().pages_rescanned, scanned);
-  EXPECT_EQ(sky_->stats().cache_hits, 0u);
-
-  // The restored worker serves like the template.
-  auto* client = kernel_->CreateProcess("client").value();
-  ASSERT_TRUE(sky_->RegisterClient(client, sid).ok());
-  ASSERT_TRUE(sky_->RegisterClient(client, clone_sid).ok());
-  mk::Thread* thread = client->AddThread(0);
-  ASSERT_TRUE(kernel_->ContextSwitchTo(machine_->core(0), client).ok());
-  EXPECT_TRUE(sky_->DirectServerCall(thread, clone_sid, Message(3)).ok());
-
-  // Preconditions: no snapshot of an unprepared process, no restore onto a
-  // prepared process, no restore over a mismatched image.
-  auto* fresh = kernel_->CreateProcessWithImage("fresh", image).value();
-  EXPECT_EQ(sky_->SnapshotRegistration(fresh).status().code(),
-            sb::ErrorCode::kFailedPrecondition);
-  EXPECT_EQ(sky_->RestoreRegistration(tmpl, *snapshot).code(),
-            sb::ErrorCode::kFailedPrecondition);
-  auto* other = kernel_->CreateProcessWithImage("other", NopImage(4)).value();
-  EXPECT_EQ(sky_->RestoreRegistration(other, *snapshot).code(),
-            sb::ErrorCode::kFailedPrecondition);
-}
-
-// registration_mode = snapshot: the first registration of an image eagerly
-// scans and auto-captures; every later identical process restores instead.
-TEST_F(RegistrationPipelineTest, SnapshotModeAutoCapturesAndRestoresClones) {
-  SkyBridgeConfig config;
-  config.registration_mode = RegistrationMode::kSnapshot;
-  Boot(config);
-  std::vector<uint8_t> image = NopImage(4);
-  PlantEmbedded(image, kPageSize + 2048, x86::kVmfuncBytes);
-  auto* tmpl = kernel_->CreateProcessWithImage("template", image).value();
-  const ServerId sid =
-      sky_->RegisterServer(tmpl, 8, EchoHandler(), CrossingBackendKind::kEptp).value();
-  const uint64_t scanned = sky_->stats().pages_rescanned;
-  EXPECT_EQ(sky_->stats().snapshot_restores, 0u);
-
-  // Three cloned workers: each client registration restores from the
-  // library keyed by the pristine image hash — zero additional scanning.
-  for (int i = 0; i < 3; ++i) {
-    auto* worker =
-        kernel_->CreateProcessWithImage("worker-" + std::to_string(i), image).value();
-    ASSERT_TRUE(sky_->RegisterClient(worker, sid).ok());
-    EXPECT_TRUE(worker->code_rewritten());
-    mk::Thread* thread = worker->AddThread(i);
-    ASSERT_TRUE(kernel_->ContextSwitchTo(machine_->core(i), worker).ok());
-    EXPECT_TRUE(sky_->DirectServerCall(thread, sid, Message(i)).ok());
-  }
-  EXPECT_EQ(sky_->stats().snapshot_restores, 3u);
-  EXPECT_EQ(sky_->stats().pages_rescanned, scanned);
-}
-
 // Lazy mode: pages fault in one at a time as execution reaches them; pages
 // never executed are never scanned, and the planted pattern on a cold page
 // stays (harmlessly, non-executable) until its first execution.
@@ -451,6 +395,77 @@ TEST_F(RegistrationPipelineTest, ExecScanFaultSurfacesUnavailableThenRecovers) {
   EXPECT_TRUE(sky_->DirectServerCall(late_thread, sid, Message(1)).ok());
   EXPECT_EQ(sb::fault::StatsFor(kFaultExecScan).fires, 1u);
   sb::fault::DisarmAll();
+}
+
+// Sets (or, with nullptr, unsets) an environment variable for one scope and
+// restores whatever the CI matrix had there.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* var, const char* value) : var_(var) {
+    if (const char* old = std::getenv(var)) {
+      old_ = old;
+    }
+    if (value != nullptr) {
+      setenv(var, value, 1);
+    } else {
+      unsetenv(var);
+    }
+  }
+  ~ScopedEnv() {
+    if (old_.has_value()) {
+      setenv(var_, old_->c_str(), 1);
+    } else {
+      unsetenv(var_);
+    }
+  }
+
+ private:
+  const char* var_;
+  std::optional<std::string> old_;
+};
+
+// Unset or empty selects the default; each accepted name selects its value.
+TEST(EnvSpelling, AcceptedNamesSelectTheirValue) {
+  {
+    ScopedEnv env("SB_REGISTRATION_MODE", "lazy");
+    EXPECT_EQ(DefaultRegistrationMode(), RegistrationMode::kLazy);
+  }
+  {
+    ScopedEnv env("SB_REGISTRATION_MODE", "");
+    EXPECT_EQ(DefaultRegistrationMode(), RegistrationMode::kEager);
+  }
+  {
+    ScopedEnv env("SB_CROSSING_BACKEND", "syscall");
+    EXPECT_EQ(DefaultCrossingBackend(), CrossingBackendKind::kSyscall);
+  }
+  {
+    ScopedEnv env("SB_CROSSING_BACKEND", nullptr);
+    EXPECT_EQ(DefaultCrossingBackend(), CrossingBackendKind::kEptp);
+  }
+}
+
+// Any other value aborts and names the accepted values: a retired mode or a
+// typo in a matrix value must not quietly run a second default leg.
+TEST(EnvSpellingDeathTest, UnknownNamesAbortListingTheAcceptedOnes) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        setenv("SB_REGISTRATION_MODE", "snapshot", 1);
+        (void)DefaultRegistrationMode();
+      },
+      "SB_REGISTRATION_MODE=\"snapshot\" is not one of: eager, lazy");
+  EXPECT_DEATH(
+      {
+        setenv("SB_REGISTRATION_MODE", "eagre", 1);
+        (void)DefaultRegistrationMode();
+      },
+      "SB_REGISTRATION_MODE=\"eagre\" is not one of: eager, lazy");
+  EXPECT_DEATH(
+      {
+        setenv("SB_CROSSING_BACKEND", "eptpp", 1);
+        (void)DefaultCrossingBackend();
+      },
+      "SB_CROSSING_BACKEND=\"eptpp\" is not one of: eptp, mpk, syscall");
 }
 
 }  // namespace

@@ -467,7 +467,6 @@ TEST(RegistrationTelemetry, LazyFirstCallFeedsTheRegistrationCounters) {
   EXPECT_GE(reg.GetCounter("skybridge.registration.cache_misses").Value(), 1u);
   EXPECT_GE(reg.GetCounter("skybridge.registration.cache_hits").Value(), 1u);
   EXPECT_GE(reg.GetCounter("skybridge.registration.pages_rescanned").Value(), 1u);
-  EXPECT_EQ(reg.GetCounter("skybridge.registration.snapshot_restores").Value(), 0u);
   // Each fault's end-to-end resolution latency landed in the phase histogram.
   LatencyHistogram& fault_phase = reg.GetHistogram("skybridge.phase.exec_fault");
   EXPECT_GE(fault_phase.Count(), 2u);
@@ -483,8 +482,6 @@ TEST(RegistrationTelemetry, LazyFirstCallFeedsTheRegistrationCounters) {
   EXPECT_EQ(stats.cache_hits, reg.GetCounter("skybridge.registration.cache_hits").Value());
   EXPECT_EQ(stats.cache_misses,
             reg.GetCounter("skybridge.registration.cache_misses").Value());
-  EXPECT_EQ(stats.snapshot_restores,
-            reg.GetCounter("skybridge.registration.snapshot_restores").Value());
   EXPECT_EQ(stats.pages_rescanned,
             reg.GetCounter("skybridge.registration.pages_rescanned").Value());
 
