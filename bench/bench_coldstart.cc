@@ -112,7 +112,9 @@ struct SpawnResult {
 // call; returns the average core-0 cycle cost of one spawn-to-first-call.
 SpawnResult SpawnFleet(World& w, int workers, const std::vector<uint8_t>& image) {
   hw::Core& core = w.machine->core(0);
-  const skybridge::SkyBridgeStats before = w.sky->stats();
+  const skybridge::SkyBridge::Metrics& m = w.sky->metrics();
+  const uint64_t hits0 = m.cache_hits->Value();
+  const uint64_t misses0 = m.cache_misses->Value();
   const uint64_t start = core.cycles();
   SpawnResult result;
   for (int i = 0; i < workers; ++i) {
@@ -126,9 +128,8 @@ SpawnResult SpawnFleet(World& w, int workers, const std::vector<uint8_t>& image)
     SB_CHECK(w.sky->DirectServerCall(result.last_thread, sid, mk::Message(0)).ok());
   }
   result.cycles_per_spawn = static_cast<double>(core.cycles() - start) / workers;
-  const skybridge::SkyBridgeStats after = w.sky->stats();
-  result.cache_hits = after.cache_hits - before.cache_hits;
-  result.cache_misses = after.cache_misses - before.cache_misses;
+  result.cache_hits = m.cache_hits->Value() - hits0;
+  result.cache_misses = m.cache_misses->Value() - misses0;
   return result;
 }
 

@@ -254,12 +254,17 @@ MeshResult RunMesh(const MeshParams& params) {
     return sky->DirectServerCall(m->threads[c], m->sids[server], mk::Message(key)).status();
   };
 
-  const skybridge::SkyBridgeStats before = sky->stats();
+  const skybridge::SkyBridge::Metrics& counters = sky->metrics();
+  const uint64_t slot_faults0 = counters.slot_faults->Value();
+  const uint64_t retries0 = counters.stale_slot_retries->Value();
+  const uint64_t rejected0 = counters.rejected_calls->Value();
   sim::LoadGenerator gen(*machine, config, target);
   const sim::LoadGenReport report = gen.Run().value();
-  const skybridge::SkyBridgeStats after = sky->stats();
 
   MeshResult r;
+  r.slot_faults = counters.slot_faults->Value() - slot_faults0;
+  r.stale_retries = counters.stale_slot_retries->Value() - retries0;
+  r.rejected = counters.rejected_calls->Value() - rejected0;
   r.hot_cpo = ProbeHotSet(mesh);
   SB_CHECK(sky->CheckInvariants().ok());
   r.calls = report.completed;
@@ -267,9 +272,6 @@ MeshResult RunMesh(const MeshParams& params) {
   r.ops_per_sec = static_cast<double>(report.completed) /
                   (static_cast<double>(report.elapsed_cycles) /
                    hw::DefaultCosts().cycles_per_second);
-  r.slot_faults = after.slot_faults - before.slot_faults;
-  r.stale_retries = after.stale_slot_retries - before.stale_slot_retries;
-  r.rejected = after.rejected_calls - before.rejected_calls;
   r.ept_count = kernel->rootkernel()->ept_count();
   r.fault_rate = report.completed > 0
                      ? static_cast<double>(r.slot_faults) / static_cast<double>(report.completed)

@@ -99,10 +99,10 @@ MigrationResult RunMigration(uint64_t period, bool eager) {
   // Unrelated work runs on the other cores between visits, so the roamer
   // never finds its address space still live on the destination.
   mk::Process* polluter = world.kernel->CreateProcess("polluter").value();
-  const skybridge::SkyBridgeStats before = world.sky->stats();
-  const uint64_t installs0 = before.migration_installs;
-  const uint64_t retries0 = before.stale_slot_retries;
-  const uint64_t misses0 = before.eptp_misses;
+  const skybridge::SkyBridge::Metrics& m = world.sky->metrics();
+  const uint64_t installs0 = m.migration_installs->Value();
+  const uint64_t retries0 = m.stale_slot_retries->Value();
+  const uint64_t misses0 = m.eptp_misses->Value();
   const uint64_t base = AlignClocks(world);
   sim::Executor exec(*world.machine);
   skybridge::SkyBridge* sky = world.sky.get();
@@ -126,12 +126,11 @@ MigrationResult RunMigration(uint64_t period, bool eager) {
   exec.RunToCompletion();
   const double seconds = static_cast<double>(exec.max_time() - base) /
                          hw::DefaultCosts().cycles_per_second;
-  const skybridge::SkyBridgeStats& stats = world.sky->stats();
   MigrationResult r;
   r.ops_per_sec = static_cast<double>(kOpsPerClient) / seconds;
-  r.migration_installs = stats.migration_installs - installs0;
-  r.stale_slot_retries = stats.stale_slot_retries - retries0;
-  r.eptp_misses = stats.eptp_misses - misses0;
+  r.migration_installs = m.migration_installs->Value() - installs0;
+  r.stale_slot_retries = m.stale_slot_retries->Value() - retries0;
+  r.eptp_misses = m.eptp_misses->Value() - misses0;
   return r;
 }
 

@@ -52,8 +52,8 @@ int main() {
               static_cast<unsigned long long>((*stack)->ramdisk().reads()),
               static_cast<unsigned long long>((*stack)->ramdisk().writes()));
   std::printf("SkyBridge: %llu direct calls, %llu long (shared-buffer) calls\n",
-              static_cast<unsigned long long>((*stack)->sky()->stats().direct_calls),
-              static_cast<unsigned long long>((*stack)->sky()->stats().long_calls));
+              static_cast<unsigned long long>((*stack)->sky()->metrics().direct_calls->Value()),
+              static_cast<unsigned long long>((*stack)->sky()->metrics().long_calls->Value()));
   std::printf("VM exits while serving: %llu\n",
               static_cast<unsigned long long>((*stack)->kernel().rootkernel()->exits_total()));
   return 0;

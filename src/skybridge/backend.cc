@@ -90,7 +90,7 @@ class EptpBackend : public CrossingBackend {
 // the same bounds check VMFUNC's microcode does, but a bad index is a plain
 // error with no hypervisor backstop, and nothing stops user code from
 // forging the same two steps — which is exactly the weaker isolation
-// envelope ProbeCrossDomainRead demonstrates.
+// envelope the security tests' cross-domain probe demonstrates.
 
 class MpkBackend : public CrossingBackend {
  public:

@@ -11,7 +11,7 @@
 //   kMpk     — Intel MPK protection-key switch (~20-cycle WRPKRU/leg).
 //              Cheaper, but PKRU is unprivileged: any code can forge the
 //              rights write, so cross-domain reads are not hardware-blocked
-//              (see SkyBridge::ProbeCrossDomainRead and the security tests).
+//              (see the cross-domain probe of the security tests).
 //   kSyscall — seL4-style kernel fastpath baseline: SYSCALL into the kernel,
 //              CR3 address-space switch, SYSRET. No rewriting, no trampoline,
 //              no EPTP slots; the kernel mediates every leg.

@@ -197,7 +197,6 @@ struct SkyBridgeConfig {
   size_t rewrite_cache_entries = 4096;
   // DoS defence: force return to the client if a handler runs longer.
   uint64_t timeout_cycles = 1ULL << 32;
-  uint64_t key_seed = 0x5eedULL;
   // Worker threads for the registration-scan pool. A fixed count — never
   // derived from std::thread::hardware_concurrency — so scan fan-out (and
   // the scan_threads gauge tests assert on) matches between a 2-vCPU CI

@@ -185,7 +185,7 @@ class RouteTable {
   // O(1) index lookup (slow path of the lookup; no linear scans).
   Binding* Find(const mk::Process* client, ServerId server) const;
   // Per-thread last-route cache in front of Find; maintains the
-  // binding_lookup_hits/misses counters.
+  // lookup_hits/misses counters.
   Binding* Lookup(mk::Thread* caller, ServerId server);
   // Registers a freshly created binding: index insert + LRU front.
   Binding* Adopt(std::unique_ptr<Binding> binding);

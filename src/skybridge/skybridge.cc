@@ -17,6 +17,9 @@ namespace {
 // Base backoff before a stale-slot slowpath re-arm; doubles per attempt.
 constexpr uint64_t kStaleBackoffCycles = 32;
 
+// Seed of the calling-key stream: fixed, so every run hands out the same keys.
+constexpr uint64_t kKeySeed = 0x5eed;
+
 using sb::telemetry::TraceEventType;
 
 }  // namespace
@@ -24,7 +27,7 @@ using sb::telemetry::TraceEventType;
 SkyBridge::SkyBridge(mk::Kernel& kernel, SkyBridgeConfig config)
     : kernel_(&kernel),
       config_(config),
-      key_rng_(config.key_seed),
+      key_rng_(kKeySeed),
       trampoline_(BuildTrampoline()),
       routes_(kernel, config_),
       buffers_(kernel, config_),
@@ -133,43 +136,6 @@ SkyBridge::~SkyBridge() {
   kernel_->SetEptpInstallHook(nullptr);
   kernel_->SetEptpInstaller(nullptr);
   kernel_->SetExecFaultHandler(nullptr);
-}
-
-const SkyBridgeStats& SkyBridge::stats() const {
-  // One atomic read per field into a thread-local snapshot; see the header
-  // for the (documented) cross-counter consistency rule.
-  thread_local SkyBridgeStats snapshot;
-  snapshot.direct_calls = metrics_.direct_calls->Value();
-  snapshot.long_calls = metrics_.long_calls->Value();
-  snapshot.inplace_calls = metrics_.inplace_calls->Value();
-  snapshot.inplace_replies = metrics_.inplace_replies->Value();
-  snapshot.rejected_calls = metrics_.rejected_calls->Value();
-  snapshot.timeouts = metrics_.timeouts->Value();
-  snapshot.eptp_misses = metrics_.eptp_misses->Value();
-  snapshot.rewritten_vmfuncs = metrics_.rewritten_vmfuncs->Value();
-  snapshot.processes_rewritten = metrics_.processes_rewritten->Value();
-  snapshot.binding_lookup_hits = metrics_.lookup_hits->Value();
-  snapshot.binding_lookup_misses = metrics_.lookup_misses->Value();
-  snapshot.scan_pages = metrics_.scan_pages->Value();
-  snapshot.scan_threads = metrics_.scan_threads->Value();
-  snapshot.aborted_calls = metrics_.aborted_calls->Value();
-  snapshot.gate_rejections = metrics_.gate_rejections->Value();
-  snapshot.stale_slot_retries = metrics_.stale_slot_retries->Value();
-  snapshot.revoked_rejections = metrics_.revoked_rejections->Value();
-  snapshot.bindings_revoked = metrics_.bindings_revoked->Value();
-  snapshot.slot_faults = metrics_.slot_faults->Value();
-  snapshot.migration_installs = metrics_.migration_installs->Value();
-  // A flush is published after its submissions and its drain rounds, so
-  // reading flushes first never shows a flush without them.
-  snapshot.batch_flushes = metrics_.batch_flushes->Value();
-  snapshot.batched_calls = metrics_.batched_calls->Value();
-  snapshot.batch_drain_rounds = metrics_.drain_rounds->Value();
-  snapshot.exec_faults = metrics_.exec_faults->Value();
-  snapshot.lazy_rewrites = metrics_.lazy_rewrites->Value();
-  snapshot.cache_hits = metrics_.cache_hits->Value();
-  snapshot.cache_misses = metrics_.cache_misses->Value();
-  snapshot.pages_rescanned = metrics_.pages_rescanned->Value();
-  return snapshot;
 }
 
 sb::StatusOr<std::span<uint8_t>> SkyBridge::AcquireSendBuffer(mk::Thread* caller,
@@ -807,7 +773,9 @@ sb::Status SkyBridge::FlushBatch(mk::Thread* caller, ServerId server_id,
     return sb::PermissionDenied("calling key rejected");
   }
   const Gate::DrainOutcome outcome = gate_.DrainBatch(ctx, ring, batch_refill_);
-  // Rounds before the flush that drained them (stats() reads flushes first).
+  // Publication rule: a flush is counted after its drain rounds here and
+  // after its submissions (SubmitCall), so a reader that loads
+  // batch_flushes first never sees more flushes than rounds or submissions.
   metrics_.drain_rounds->Add(outcome.rounds);
   metrics_.batch_flushes->Add();
   perm->queued_submissions -= outcome.completed;
@@ -934,57 +902,6 @@ sb::StatusOr<std::vector<SkyBridge::BatchEntryResult>> SkyBridge::CallBatch(
     }
   }
   return out;
-}
-
-sb::StatusOr<mk::Message> SkyBridge::CallWithForgedKey(mk::Thread* caller, ServerId server_id,
-                                                       const mk::Message& msg,
-                                                       uint64_t forged_key) {
-  if (server_id >= servers_.size()) {
-    return sb::NotFound("no such server");
-  }
-  Binding* binding = routes_.Find(caller->process(), server_id);
-  if (binding == nullptr) {
-    metrics_.rejected_calls->Add();
-    return sb::PermissionDenied("client not registered to server");
-  }
-  const uint64_t real_key = binding->server_key;
-  binding->server_key = forged_key;  // The caller presents a wrong key.
-  auto result = DirectServerCall(caller, server_id, msg);
-  binding->server_key = real_key;
-  return result;
-}
-
-sb::StatusOr<uint64_t> SkyBridge::ProbeCrossDomainRead(mk::Thread* caller, ServerId server_id,
-                                                       hw::Gva va) {
-  if (server_id >= servers_.size()) {
-    return sb::NotFound("no such server");
-  }
-  ServerEntry& server = servers_[server_id];
-  hw::Core& core = kernel_->machine().core(caller->core_id());
-  const CrossingBackend& backend = gate_.backend(server.backend);
-  if (backend.caps().isolates_memory) {
-    // EPTP: a forged VMFUNC can only name list slots the Rootkernel
-    // populated, and none of them maps the server's pages for this attacker
-    // — the hypervisor's view switch is the reference monitor. Syscall: the
-    // kernel validates the capability on every crossing. Either way the
-    // probe dies before the dereference.
-    metrics_.rejected_calls->Add();
-    return sb::PermissionDenied("cross-domain read blocked by the crossing backend");
-  }
-  // MPK: WRPKRU is unprivileged and the server's pages live in the shared
-  // address space — the attacker forges PKRU (all keys readable) and
-  // dereferences through the server's mapping. No trampoline, no calling
-  // key, no kernel. This is the backend's documented weaker isolation
-  // envelope (DESIGN.md section 16), pinned by the security tests.
-  const uint32_t saved_pkru = core.pkru();
-  core.Wrpkru(0);  // Grant every protection key.
-  const hw::GuestWalk walk = server.process->address_space().WalkVa(va);
-  sb::StatusOr<uint64_t> stolen =
-      walk.ok ? sb::StatusOr<uint64_t>(kernel_->machine().mem().ReadU64(walk.gpa))
-              : sb::StatusOr<uint64_t>(sb::InvalidArgument("server va unmapped"));
-  core.Wrpkru(saved_pkru);
-  kernel_->machine().telemetry().GetCounter("skybridge.crossing.mpk.cross_domain_probes").Add();
-  return stolen;
 }
 
 sb::Status SkyBridge::RevokeBinding(mk::Process* client, ServerId server_id) {

@@ -61,57 +61,6 @@
 
 namespace skybridge {
 
-// Point-in-time snapshot of the library's counters. The live values are
-// telemetry registry metrics (skybridge.* on the machine's registry); this
-// struct is folded from them by stats() to keep the historical accessor.
-struct SkyBridgeStats {
-  uint64_t direct_calls = 0;
-  uint64_t long_calls = 0;       // Used the shared buffer.
-  uint64_t inplace_calls = 0;    // Request built in place (no request copy).
-  uint64_t inplace_replies = 0;  // Reply built in place (no reply copy).
-  uint64_t rejected_calls = 0;   // Calling-key, binding or capacity failures.
-  uint64_t timeouts = 0;
-  uint64_t eptp_misses = 0;      // Binding had been LRU-evicted; reinstalled.
-  uint64_t rewritten_vmfuncs = 0;
-  uint64_t processes_rewritten = 0;
-  // Fast-path lookup accounting: hits were served by the per-thread
-  // last-route cache; misses fell through to the binding hash index.
-  uint64_t binding_lookup_hits = 0;
-  uint64_t binding_lookup_misses = 0;
-  // Registration-scan accounting (the parallel slow path). scan_pages
-  // counts the code pages of whole-image scans: each image is scanned at
-  // most once (a fork of a scanned template adopts its index and adds 0);
-  // the re-scan around each rewrite edit is a few bytes and not counted.
-  uint64_t scan_pages = 0;
-  uint64_t scan_threads = 0;  // Widest fan-out any scan used.
-  // ---- Fault model & recovery (DESIGN.md section 10) ----
-  uint64_t aborted_calls = 0;      // Server crashed mid-handler; rootkernel abort.
-  uint64_t gate_rejections = 0;    // Replies rejected at the return gate.
-  uint64_t stale_slot_retries = 0; // Pre-VMFUNC stale-slot slowpath re-arms.
-  uint64_t revoked_rejections = 0; // Calls refused on a revoked binding.
-  uint64_t bindings_revoked = 0;   // RevokeBinding transitions.
-  // ---- EPTP slot virtualization (DESIGN.md section 15) ----
-  // Calls whose routed binding was not resident in the core's slot working
-  // set; the slot-fault slow path made it resident (evicting the per-core
-  // LRU victim when the budget was full) before the entry VMFUNC.
-  uint64_t slot_faults = 0;
-  // ---- Per-core control plane (DESIGN.md section 11) ----
-  // EPTP lists eagerly re-installed by the scheduler hook when a thread
-  // migrated cores (vs. the lazy stale_slot_retries fallback).
-  uint64_t migration_installs = 0;
-  // ---- Batched + asynchronous IPC (DESIGN.md section 13) ----
-  uint64_t batched_calls = 0;      // Requests submitted into batch rings.
-  uint64_t batch_flushes = 0;      // FlushBatch crossings that drained >= 1.
-  uint64_t batch_drain_rounds = 0; // Server drain rounds across all flushes.
-  // ---- Staged registration pipeline (DESIGN.md section 17) ----
-  uint64_t exec_faults = 0;        // Exec-violation exits taken (lazy mode).
-  uint64_t lazy_rewrites = 0;      // Pages rewritten by the exec-fault path.
-  uint64_t cache_hits = 0;         // Rewrite-cache page hits (replays).
-  uint64_t cache_misses = 0;       // Rewrite-cache page misses.
-  uint64_t pages_rescanned = 0;    // Pages scanned from scratch (cache misses
-                                   // plus cache-disabled scans).
-};
-
 class SkyBridge {
  public:
   // Requires a kernel booted with the Rootkernel.
@@ -221,37 +170,62 @@ class SkyBridge {
   // pending at entry).
   void SetBatchRefill(std::function<void()> refill) { batch_refill_ = std::move(refill); }
 
-  // Simulates a malicious caller that skips registration / forges a key;
-  // returns the error the legitimate path produces (for the security tests).
-  sb::StatusOr<mk::Message> CallWithForgedKey(mk::Thread* caller, ServerId server_id,
-                                              const mk::Message& msg, uint64_t forged_key);
-
-  // Simulates a malicious client trying to read server memory at `va`
-  // WITHOUT authorization: forge the crossing primitive by hand (no
-  // trampoline, no calling key) and dereference through the server's
-  // tables. On the MPK backend this SUCCEEDS — WRPKRU is unprivileged and
-  // the shared mapping is reachable once PKRU is forged — returning the
-  // stolen word; that is the backend's documented weaker isolation envelope,
-  // pinned by the security tests. On EPTP the hypervisor validates the view
-  // switch and on syscall the kernel validates the capability, so both
-  // return PermissionDenied.
-  sb::StatusOr<uint64_t> ProbeCrossDomainRead(mk::Thread* caller, ServerId server_id,
-                                              hw::Gva va);
-
-  // Folds the registry-backed counters into the snapshot struct.
-  //
-  // Consistency rule: safe to call concurrently with calls on other
-  // threads. Each field is one atomic per-counter read, so every field is
-  // individually monotonic and exact at its read point, but the snapshot is
-  // NOT a consistent cut across counters — a call racing the fold may be
-  // reflected in direct_calls and not yet in binding_lookup_hits (or vice
-  // versa; fields are read in declaration order). One exception is kept:
-  // batch_flushes is read before batched_calls and batch_drain_rounds, and
-  // a flush is counted after both, so a snapshot never shows more flushes
-  // than submissions or drain rounds. The returned reference is
-  // thread-local: it stays valid, and stable, until the same thread calls
-  // stats() again.
-  const SkyBridgeStats& stats() const;
+  // The registry's own instances of the skybridge.* counters, one per
+  // published name (the routing and gate modules increment some of them
+  // through their own handles). `metrics().<field>->Value()` is one atomic
+  // read: monotonic and exact at its read point, safe alongside calls on
+  // other threads. Two reads are not a consistent cut; see FlushBatch for
+  // the one cross-counter order kept.
+  struct Metrics {
+    sb::telemetry::Counter* direct_calls;
+    sb::telemetry::Counter* long_calls;       // Used the shared buffer.
+    sb::telemetry::Counter* inplace_calls;    // Request built in place (no request copy).
+    sb::telemetry::Counter* inplace_replies;  // Reply built in place (no reply copy).
+    sb::telemetry::Counter* rejected_calls;   // Calling-key, binding or capacity failures.
+    sb::telemetry::Counter* timeouts;
+    sb::telemetry::Counter* eptp_misses;      // Binding had been LRU-evicted; reinstalled.
+    sb::telemetry::Counter* rewritten_vmfuncs;
+    sb::telemetry::Counter* processes_rewritten;
+    // Fast-path lookup accounting (written by RouteTable): hits were served
+    // by the per-thread last-route cache; misses fell through to the
+    // binding hash index.
+    sb::telemetry::Counter* lookup_hits;
+    sb::telemetry::Counter* lookup_misses;
+    // Registration-scan accounting (the parallel slow path). scan_pages
+    // counts the code pages of whole-image scans: each image is scanned at
+    // most once (a fork of a scanned template adopts its index and adds 0);
+    // the re-scan around each rewrite edit is a few bytes and not counted.
+    sb::telemetry::Counter* scan_pages;
+    sb::telemetry::Gauge* scan_threads;  // High-water: widest fan-out any scan used.
+    // ---- Fault model & recovery (DESIGN.md section 10) ----
+    sb::telemetry::Counter* aborted_calls;       // Server crashed mid-handler (Gate).
+    sb::telemetry::Counter* gate_rejections;     // Replies rejected at the return gate.
+    sb::telemetry::Counter* stale_slot_retries;  // Pre-VMFUNC stale-slot slowpath re-arms.
+    sb::telemetry::Counter* revoked_rejections;  // Calls refused on a revoked binding.
+    sb::telemetry::Counter* bindings_revoked;    // RevokeBinding transitions (RouteTable).
+    // ---- EPTP slot virtualization (DESIGN.md section 15) ----
+    // Calls whose routed binding was not resident in the core's slot working
+    // set; the slot-fault slow path made it resident (evicting the per-core
+    // LRU victim when the budget was full) before the entry VMFUNC.
+    sb::telemetry::Counter* slot_faults;
+    // ---- Per-core control plane (DESIGN.md section 11) ----
+    // EPTP lists eagerly re-installed by the scheduler hook when a thread
+    // migrated cores (vs. the lazy stale_slot_retries fallback).
+    sb::telemetry::Counter* migration_installs;
+    // ---- Batched + asynchronous IPC (DESIGN.md section 13) ----
+    sb::telemetry::Counter* batched_calls;  // Requests submitted into batch rings.
+    sb::telemetry::Counter* batch_flushes;  // FlushBatch crossings that drained >= 1.
+    sb::telemetry::Counter* drain_rounds;   // Server drain rounds across all flushes.
+    sb::telemetry::Gauge* ring_depth;       // High-water pending depth at flush.
+    // ---- Staged registration pipeline (DESIGN.md section 17) ----
+    sb::telemetry::Counter* exec_faults;    // Exec-violation exits taken (lazy mode).
+    sb::telemetry::Counter* lazy_rewrites;  // Pages rewritten by the exec-fault path.
+    sb::telemetry::Counter* cache_hits;     // Rewrite-cache page hits (replays).
+    sb::telemetry::Counter* cache_misses;   // Rewrite-cache page misses.
+    // Pages scanned from scratch (cache misses plus cache-disabled scans).
+    sb::telemetry::Counter* pages_rescanned;
+  };
+  const Metrics& metrics() const { return metrics_; }
   const SkyBridgeConfig& config() const { return config_; }
   mk::Kernel& kernel() { return *kernel_; }
 
@@ -291,6 +265,9 @@ class SkyBridge {
                                uint32_t core_id) const;
 
  private:
+  // The adversarial-caller hooks of the security tests.
+  friend class SkyBridgeAttackPeer;
+
   // ---- Staged registration pipeline state (DESIGN.md section 17) ----
   // Per prepared process. Guarded by reg_mu_ (slow path only: registration,
   // code update, exec-fault resolution).
@@ -376,48 +353,6 @@ class SkyBridge {
   // Stage 5 — server side + return gate: key check, handler, reply
   // validation and materialization, return VMFUNC.
   sb::StatusOr<mk::Message> ServeAndReturn(CallContext& ctx);
-
-  // Live counters on the machine's telemetry registry (skybridge.*). Handles
-  // are registered once in the constructor; the hot path only does relaxed
-  // sharded adds. `metrics_.scan_threads` is a high-water gauge. The
-  // routing/gate modules hold their own handles to the same registry
-  // entries (GetCounter returns one shared instance per name).
-  struct Metrics {
-    sb::telemetry::Counter* direct_calls;
-    sb::telemetry::Counter* long_calls;
-    sb::telemetry::Counter* inplace_calls;
-    sb::telemetry::Counter* inplace_replies;
-    sb::telemetry::Counter* rejected_calls;
-    sb::telemetry::Counter* timeouts;
-    sb::telemetry::Counter* eptp_misses;
-    sb::telemetry::Counter* rewritten_vmfuncs;
-    sb::telemetry::Counter* processes_rewritten;
-    sb::telemetry::Counter* lookup_hits;
-    sb::telemetry::Counter* lookup_misses;
-    sb::telemetry::Counter* scan_pages;
-    sb::telemetry::Gauge* scan_threads;
-    // Fault model & recovery.
-    sb::telemetry::Counter* aborted_calls;
-    sb::telemetry::Counter* gate_rejections;
-    sb::telemetry::Counter* stale_slot_retries;
-    sb::telemetry::Counter* revoked_rejections;
-    sb::telemetry::Counter* bindings_revoked;
-    // EPTP slot virtualization.
-    sb::telemetry::Counter* slot_faults;
-    // Per-core control plane.
-    sb::telemetry::Counter* migration_installs;
-    // Batched + async IPC.
-    sb::telemetry::Counter* batched_calls;
-    sb::telemetry::Counter* batch_flushes;
-    sb::telemetry::Counter* drain_rounds;
-    sb::telemetry::Gauge* ring_depth;  // High-water pending depth at flush.
-    // Staged registration pipeline.
-    sb::telemetry::Counter* exec_faults;
-    sb::telemetry::Counter* lazy_rewrites;
-    sb::telemetry::Counter* cache_hits;
-    sb::telemetry::Counter* cache_misses;
-    sb::telemetry::Counter* pages_rescanned;
-  };
 
   // ---- Batch-ring connection state (host-side bookkeeping) ----
   // One per (binding, thread) connection that uses the batch API; the ring

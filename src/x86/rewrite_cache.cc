@@ -49,10 +49,8 @@ std::optional<PageRewrite> RewriteCache::Lookup(const RewriteCacheKey& key) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it == index_.end()) {
-    ++stats_.misses;
     return std::nullopt;
   }
-  ++stats_.hits;
   lru_.splice(lru_.begin(), lru_, it->second);
   return it->second->second;
 }

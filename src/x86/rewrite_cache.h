@@ -62,9 +62,8 @@ struct RewriteCacheKey {
 // scan's current instruction starts (no sweep of its own).
 RewriteCacheKey PageCacheKey(const ImageScan& scan, size_t page_index, uint32_t pattern_id);
 
+// Hits and misses are counted on the registry (skybridge.registration.*).
 struct RewriteCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
   uint64_t evictions = 0;
   uint64_t invalidations = 0;
 };
@@ -76,7 +75,7 @@ class RewriteCache {
   RewriteCache(const RewriteCache&) = delete;
   RewriteCache& operator=(const RewriteCache&) = delete;
 
-  // Counts a hit (and refreshes LRU position) or a miss.
+  // A hit refreshes the entry's LRU position.
   std::optional<PageRewrite> Lookup(const RewriteCacheKey& key);
 
   // Inserts or replaces; evicts the least-recently-used entry over budget.

@@ -14,6 +14,7 @@
 #include "src/base/faultpoint.h"
 #include "src/skybridge/skybridge.h"
 #include "src/vmm/rootkernel.h"
+#include "tests/skybridge_attack_peer.h"
 
 namespace skybridge {
 namespace {
@@ -104,7 +105,7 @@ std::vector<std::string> RunScript(CrossingBackendKind backend) {
   }
   // 4. Forged calling key.
   {
-    auto reply = sky.CallWithForgedKey(thread, sid, Message(1), 0xbad);
+    auto reply = SkyBridgeAttackPeer::CallWithForgedKey(sky, thread, sid, Message(1), 0xbad);
     record("forged_key", reply.status());
   }
   // 5. Handler crash (nth-hit fault, backend-invariant point) + recovery.
@@ -167,13 +168,13 @@ std::vector<std::string> RunScript(CrossingBackendKind backend) {
   }
   // 10. Deterministic end-state counters every backend must agree on.
   {
-    const SkyBridgeStats& s = sky.stats();
+    const SkyBridge::Metrics& m = sky.metrics();
     std::ostringstream line;
-    line << "counters direct=" << s.direct_calls << " long=" << s.long_calls
-         << " inplace=" << s.inplace_calls << " rejected=" << s.rejected_calls
-         << " aborted=" << s.aborted_calls << " gate_rej=" << s.gate_rejections
-         << " revoked=" << s.bindings_revoked << " batched=" << s.batched_calls
-         << " flushes=" << s.batch_flushes;
+    line << "counters direct=" << m.direct_calls->Value() << " long=" << m.long_calls->Value()
+         << " inplace=" << m.inplace_calls->Value() << " rejected=" << m.rejected_calls->Value()
+         << " aborted=" << m.aborted_calls->Value() << " gate_rej=" << m.gate_rejections->Value()
+         << " revoked=" << m.bindings_revoked->Value() << " batched=" << m.batched_calls->Value()
+         << " flushes=" << m.batch_flushes->Value();
     transcript.push_back(line.str());
   }
   sb::fault::DisarmAll();

@@ -119,7 +119,7 @@ TEST_P(FaultRecoveryTest, HandlerCrashAbortsAndRecovers) {
   // hypercall, not around it; the kernel fastpath never involves the VMM.
   EXPECT_EQ(kernel_->rootkernel()->aborts(), RootkernelAborts(1));
   EXPECT_EQ(machine_->telemetry().GetCounter("vmm.aborts").Value(), RootkernelAborts(1));
-  EXPECT_EQ(sky_->stats().aborted_calls, 1u);
+  EXPECT_EQ(sky_->metrics().aborted_calls->Value(), 1u);
 
   // Disarmed, the very next call succeeds on the same binding.
   sb::fault::DisarmAll();
@@ -190,7 +190,7 @@ TEST_P(FaultRecoveryTest, NestedHandlerCrashAbortsInnerCallOnly) {
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->tag, 2u);  // The middle observed the inner abort.
   EXPECT_EQ(inner_status.code(), ErrorCode::kAborted);
-  EXPECT_EQ(sky_->stats().aborted_calls, 1u);
+  EXPECT_EQ(sky_->metrics().aborted_calls->Value(), 1u);
   ExpectHealthy();
 }
 
@@ -229,7 +229,7 @@ TEST_P(FaultRecoveryTest, StaleSlotRearmsTransparently) {
   auto reply = sky_->DirectServerCall(p.thread, p.sid, Message(2));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();  // Recovered in-line.
   EXPECT_EQ(reply->tag, 2u);
-  EXPECT_EQ(sky_->stats().stale_slot_retries, 1u);
+  EXPECT_EQ(sky_->metrics().stale_slot_retries->Value(), 1u);
   ExpectHealthy();
 }
 
@@ -247,14 +247,14 @@ TEST_P(FaultRecoveryTest, StaleSlotRetriesAreBoundedThenUnavailable) {
   auto starved = sky_->DirectServerCall(p.thread, p.sid, Message(2));
   ASSERT_FALSE(starved.ok());
   EXPECT_EQ(starved.status().code(), ErrorCode::kUnavailable);
-  EXPECT_EQ(sky_->stats().stale_slot_retries, 3u);
+  EXPECT_EQ(sky_->metrics().stale_slot_retries->Value(), 3u);
   ExpectHealthy();
 
   // Disarmed, the evicted binding reinstalls through the ordinary miss path.
   sb::fault::DisarmAll();
   auto reply = sky_->DirectServerCall(p.thread, p.sid, Message(3));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  EXPECT_GE(sky_->stats().eptp_misses, 1u);
+  EXPECT_GE(sky_->metrics().eptp_misses->Value(), 1u);
   ExpectHealthy();
 }
 
@@ -269,7 +269,7 @@ TEST_P(FaultRecoveryTest, InjectedCorruptReplyRejectedAtTheGate) {
   auto corrupt = sky_->DirectServerCall(p.thread, p.sid, Message(2));
   ASSERT_FALSE(corrupt.ok());
   EXPECT_EQ(corrupt.status().code(), ErrorCode::kOutOfRange);
-  EXPECT_EQ(sky_->stats().gate_rejections, 1u);
+  EXPECT_EQ(sky_->metrics().gate_rejections->Value(), 1u);
   ExpectHealthy();
 
   sb::fault::DisarmAll();
@@ -290,7 +290,7 @@ TEST_P(FaultRecoveryTest, BorrowedReplyEscapingTheSliceIsStructurallyRejected) {
   auto escaped = sky_->DirectServerCall(p.thread, p.sid, Message(1));
   ASSERT_FALSE(escaped.ok());
   EXPECT_EQ(escaped.status().code(), ErrorCode::kOutOfRange);
-  EXPECT_EQ(sky_->stats().gate_rejections, 1u);
+  EXPECT_EQ(sky_->metrics().gate_rejections->Value(), 1u);
   ExpectHealthy();
 }
 
@@ -303,7 +303,7 @@ TEST_P(FaultRecoveryTest, RevokedBindingRefusesCallsUntilReRegistered) {
   ASSERT_EQ(sky_->InstalledBindings(p.client).value(), InstalledIfViewSlots(1));
 
   ASSERT_TRUE(sky_->RevokeBinding(p.client, p.sid).ok());
-  EXPECT_EQ(sky_->stats().bindings_revoked, 1u);
+  EXPECT_EQ(sky_->metrics().bindings_revoked->Value(), 1u);
   // No calls in flight: the EPTP entry (if any) is removed immediately.
   EXPECT_EQ(sky_->InstalledBindings(p.client).value(), 0u);
   ExpectHealthy();
@@ -312,7 +312,7 @@ TEST_P(FaultRecoveryTest, RevokedBindingRefusesCallsUntilReRegistered) {
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), ErrorCode::kPermissionDenied);
   EXPECT_FALSE(sky_->AcquireSendBuffer(p.thread, p.sid).ok());
-  EXPECT_GE(sky_->stats().revoked_rejections, 2u);
+  EXPECT_GE(sky_->metrics().revoked_rejections->Value(), 2u);
 
   // Re-registration revives the binding with a fresh key; calls flow again.
   ASSERT_TRUE(sky_->RegisterClient(p.client, p.sid).ok());
@@ -335,7 +335,7 @@ TEST_P(FaultRecoveryTest, RevocationDuringFlightDrainsThenSweeps) {
   auto reply = sky_->DirectServerCall(p.thread, p.sid, Message(2));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->tag, 2u);
-  EXPECT_EQ(sky_->stats().bindings_revoked, 1u);
+  EXPECT_EQ(sky_->metrics().bindings_revoked->Value(), 1u);
   // Drained: the sweep ran, the entry is gone, invariants hold.
   EXPECT_EQ(sky_->InstalledBindings(p.client).value(), 0u);
   ExpectHealthy();
@@ -354,7 +354,7 @@ TEST_P(FaultRecoveryTest, RevokeUnknownBindingIsNotFound) {
   // Revoking twice is idempotent.
   ASSERT_TRUE(sky_->RevokeBinding(p.client, p.sid).ok());
   ASSERT_TRUE(sky_->RevokeBinding(p.client, p.sid).ok());
-  EXPECT_EQ(sky_->stats().bindings_revoked, 1u);
+  EXPECT_EQ(sky_->metrics().bindings_revoked->Value(), 1u);
 }
 
 // ---- vmm.rootkernel.binding_ept_refused: registration-time exhaustion ----

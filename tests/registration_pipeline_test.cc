@@ -102,9 +102,9 @@ TEST_F(RegistrationPipelineTest, UpdateProcessCodeRescansOnlyDirtyPages) {
   auto* server = kernel_->CreateProcessWithImage("server", image).value();
   const ServerId sid =
       sky_->RegisterServer(server, 4, EchoHandler(), CrossingBackendKind::kEptp).value();
-  EXPECT_EQ(sky_->stats().pages_rescanned, 4u);
-  EXPECT_EQ(sky_->stats().cache_misses, 4u);
-  EXPECT_EQ(sky_->stats().cache_hits, 0u);
+  EXPECT_EQ(sky_->metrics().pages_rescanned->Value(), 4u);
+  EXPECT_EQ(sky_->metrics().cache_misses->Value(), 4u);
+  EXPECT_EQ(sky_->metrics().cache_hits->Value(), 0u);
   EXPECT_TRUE(x86::FindVmfuncBytes(server->code_image()).empty());
 
   // Dirty exactly one byte, mid-page so no neighbour's +-64 B hash context
@@ -112,9 +112,9 @@ TEST_F(RegistrationPipelineTest, UpdateProcessCodeRescansOnlyDirtyPages) {
   std::vector<uint8_t> updated = image;
   updated[2 * kPageSize + 2048] = 0xf8;  // NOP -> CLC, still one decodable byte.
   ASSERT_TRUE(sky_->UpdateProcessCode(server, updated).ok());
-  EXPECT_EQ(sky_->stats().pages_rescanned, 5u);
-  EXPECT_EQ(sky_->stats().cache_misses, 5u);
-  EXPECT_EQ(sky_->stats().cache_hits, 3u);
+  EXPECT_EQ(sky_->metrics().pages_rescanned->Value(), 5u);
+  EXPECT_EQ(sky_->metrics().cache_misses->Value(), 5u);
+  EXPECT_EQ(sky_->metrics().cache_hits->Value(), 3u);
   EXPECT_TRUE(x86::FindVmfuncBytes(server->code_image()).empty());
   EXPECT_TRUE(server->code_rewritten());
 
@@ -136,16 +136,16 @@ TEST_F(RegistrationPipelineTest, IdenticalForkReplaysFromTheCacheDeterministical
   auto* a = kernel_->CreateProcessWithImage("fork-a", image).value();
   const ServerId sid_a =
       sky_->RegisterServer(a, 4, EchoHandler(), CrossingBackendKind::kEptp).value();
-  EXPECT_EQ(sky_->stats().cache_misses, 4u);
-  EXPECT_EQ(sky_->stats().pages_rescanned, 4u);
+  EXPECT_EQ(sky_->metrics().cache_misses->Value(), 4u);
+  EXPECT_EQ(sky_->metrics().pages_rescanned->Value(), 4u);
 
   auto* b = kernel_->CreateProcessWithImage("fork-b", image).value();
   const ServerId sid_b =
       sky_->RegisterServer(b, 4, EchoHandler(), CrossingBackendKind::kEptp).value();
   // 100% hit rate: no page of the fork rescanned.
-  EXPECT_EQ(sky_->stats().cache_misses, 4u);
-  EXPECT_EQ(sky_->stats().cache_hits, 4u);
-  EXPECT_EQ(sky_->stats().pages_rescanned, 4u);
+  EXPECT_EQ(sky_->metrics().cache_misses->Value(), 4u);
+  EXPECT_EQ(sky_->metrics().cache_hits->Value(), 4u);
+  EXPECT_EQ(sky_->metrics().pages_rescanned->Value(), 4u);
   // Replay is deterministic: both rewrites are byte-identical.
   EXPECT_EQ(a->code_image(), b->code_image());
   EXPECT_TRUE(x86::FindVmfuncBytes(b->code_image()).empty());
@@ -196,7 +196,7 @@ TEST_F(RegistrationPipelineTest, BackendPatternsNeverShareCacheEntries) {
   auto* a = kernel_->CreateProcessWithImage("eptp-server", image).value();
   ASSERT_TRUE(
       sky_->RegisterServer(a, 4, EchoHandler(), CrossingBackendKind::kEptp).ok());
-  EXPECT_EQ(sky_->stats().cache_misses, 4u);
+  EXPECT_EQ(sky_->metrics().cache_misses->Value(), 4u);
   EXPECT_TRUE(x86::FindVmfuncBytes(a->code_image()).empty());
   EXPECT_FALSE(x86::FindVmfuncBytes(a->code_image(), wrpkru).empty());
 
@@ -204,8 +204,8 @@ TEST_F(RegistrationPipelineTest, BackendPatternsNeverShareCacheEntries) {
   // cache, but the WRPKRU pass must miss — same bytes, different pattern id.
   auto* b = kernel_->CreateProcessWithImage("mpk-server", image).value();
   ASSERT_TRUE(sky_->RegisterServer(b, 4, EchoHandler(), CrossingBackendKind::kMpk).ok());
-  EXPECT_EQ(sky_->stats().cache_hits, 4u);    // The replayed VMFUNC pass.
-  EXPECT_EQ(sky_->stats().cache_misses, 8u);  // The cold WRPKRU pass.
+  EXPECT_EQ(sky_->metrics().cache_hits->Value(), 4u);    // The replayed VMFUNC pass.
+  EXPECT_EQ(sky_->metrics().cache_misses->Value(), 8u);  // The cold WRPKRU pass.
   EXPECT_TRUE(x86::FindVmfuncBytes(b->code_image()).empty());
   EXPECT_TRUE(x86::FindVmfuncBytes(b->code_image(), wrpkru).empty());
 }
@@ -240,7 +240,7 @@ TEST_F(RegistrationPipelineTest, SweepEntryIsPartOfTheCacheKey) {
   auto* pb = kernel_->CreateProcessWithImage("b", b).value();
   ASSERT_TRUE(sky_->RegisterServer(pb, 4, EchoHandler(), CrossingBackendKind::kEptp).ok());
   EXPECT_EQ(pb->code_image(), expected);
-  EXPECT_EQ(sky_->stats().cache_hits, 0u);
+  EXPECT_EQ(sky_->metrics().cache_hits->Value(), 0u);
 }
 
 // Unit-level key semantics and the bounded LRU budget.
@@ -287,8 +287,8 @@ TEST_F(RegistrationPipelineTest, ZeroBudgetDisablesTheCache) {
   auto* b = kernel_->CreateProcessWithImage("b", image).value();
   ASSERT_TRUE(
       sky_->RegisterServer(b, 4, EchoHandler(), CrossingBackendKind::kEptp).ok());
-  EXPECT_EQ(sky_->stats().cache_hits, 0u);
-  EXPECT_EQ(sky_->stats().pages_rescanned, 4u);
+  EXPECT_EQ(sky_->metrics().cache_hits->Value(), 0u);
+  EXPECT_EQ(sky_->metrics().pages_rescanned->Value(), 4u);
   EXPECT_EQ(a->code_image(), b->code_image());
 }
 
@@ -311,8 +311,8 @@ TEST_F(RegistrationPipelineTest, LazyModeFaultsPagesInOneAtATime) {
   ASSERT_TRUE(kernel_->ContextSwitchTo(machine_->core(0), client).ok());
 
   // Registration armed, nothing scanned: all four server pages non-exec.
-  EXPECT_EQ(sky_->stats().exec_faults, 0u);
-  EXPECT_EQ(sky_->stats().pages_rescanned, 0u);
+  EXPECT_EQ(sky_->metrics().exec_faults->Value(), 0u);
+  EXPECT_EQ(sky_->metrics().pages_rescanned->Value(), 0u);
   for (size_t page = 0; page < 4; ++page) {
     EXPECT_FALSE(PageExecutable(server, page)) << page;
   }
@@ -320,7 +320,7 @@ TEST_F(RegistrationPipelineTest, LazyModeFaultsPagesInOneAtATime) {
 
   // tag 0 executes the client page, the handler page and server page 0.
   ASSERT_TRUE(sky_->DirectServerCall(thread, sid, Message(0)).ok());
-  const uint64_t after_first = sky_->stats().exec_faults;
+  const uint64_t after_first = sky_->metrics().exec_faults->Value();
   EXPECT_GE(after_first, 2u);
   EXPECT_TRUE(PageExecutable(server, 0));
   EXPECT_FALSE(PageExecutable(server, 1));
@@ -329,7 +329,7 @@ TEST_F(RegistrationPipelineTest, LazyModeFaultsPagesInOneAtATime) {
   // tag 2 reaches server page 2; pages 1 and 3 (with their patterns) are
   // still cold, still non-executable.
   ASSERT_TRUE(sky_->DirectServerCall(thread, sid, Message(2)).ok());
-  EXPECT_EQ(sky_->stats().exec_faults, after_first + 1);
+  EXPECT_EQ(sky_->metrics().exec_faults->Value(), after_first + 1);
   EXPECT_TRUE(PageExecutable(server, 2));
   EXPECT_EQ(x86::FindVmfuncBytes(server->code_image()).size(), 2u);
 
@@ -345,9 +345,9 @@ TEST_F(RegistrationPipelineTest, LazyModeFaultsPagesInOneAtATime) {
   }
 
   // Steady state: the fault path is drained, counters hold still.
-  const uint64_t faults = sky_->stats().exec_faults;
+  const uint64_t faults = sky_->metrics().exec_faults->Value();
   EXPECT_TRUE(sky_->DirectServerCall(thread, sid, Message(1)).ok());
-  EXPECT_EQ(sky_->stats().exec_faults, faults);
+  EXPECT_EQ(sky_->metrics().exec_faults->Value(), faults);
 }
 
 // The kFaultExecScan recovery contract: a persistently failing page scan
@@ -373,14 +373,14 @@ TEST_F(RegistrationPipelineTest, ExecScanFaultSurfacesUnavailableThenRecovers) {
             sb::ErrorCode::kUnavailable);
   EXPECT_GE(sb::fault::StatsFor(kFaultExecScan).fires, 1u);
   EXPECT_FALSE(PageExecutable(client, 0));
-  EXPECT_EQ(sky_->stats().lazy_rewrites, 0u);
+  EXPECT_EQ(sky_->metrics().lazy_rewrites->Value(), 0u);
   const sb::Status invariants = sky_->CheckInvariants();
   EXPECT_TRUE(invariants.ok()) << invariants.ToString();
 
   // Fault cleared: the retry path completes and the call goes through.
   sb::fault::DisarmAll();
   EXPECT_TRUE(sky_->DirectServerCall(thread, sid, Message(0)).ok());
-  EXPECT_GE(sky_->stats().lazy_rewrites, 2u);
+  EXPECT_GE(sky_->metrics().lazy_rewrites->Value(), 2u);
   EXPECT_TRUE(PageExecutable(client, 0));
 
   // A transient failure (first attempt only) is absorbed by the in-fault

@@ -109,10 +109,10 @@ TEST_F(BatchTest, SubmitFlushPollRoundtrip) {
     EXPECT_EQ(reply->ToString(), "req-" + std::to_string(i));
   }
 
-  const SkyBridgeStats& stats = sky_->stats();
-  EXPECT_EQ(stats.batched_calls, 4u);
-  EXPECT_EQ(stats.batch_flushes, 1u);
-  EXPECT_GE(stats.batch_drain_rounds, 1u);
+  const SkyBridge::Metrics& m = sky_->metrics();
+  EXPECT_EQ(m.batched_calls->Value(), 4u);
+  EXPECT_EQ(m.batch_flushes->Value(), 1u);
+  EXPECT_GE(m.drain_rounds->Value(), 1u);
   ExpectHealthy();
 }
 
@@ -226,7 +226,7 @@ TEST_F(BatchTest, WaitCompletionFlushesImplicitly) {
   EXPECT_EQ(reply->ToString(), "b");
   // The flush drained the whole ring; t0 is already complete.
   EXPECT_TRUE(sky_->PollCompletion(p.thread, p.sid, *t0).ok());
-  EXPECT_EQ(sky_->stats().batch_flushes, 1u);
+  EXPECT_EQ(sky_->metrics().batch_flushes->Value(), 1u);
   ExpectHealthy();
 }
 
@@ -264,7 +264,7 @@ TEST_F(BatchTest, HandlerCrashMidDrainPostsAbortedAndPreservesRest) {
   for (int i = 3; i < 6; ++i) {
     EXPECT_TRUE(sky_->PollCompletion(p.thread, p.sid, tokens[i]).ok());
   }
-  EXPECT_EQ(sky_->stats().aborted_calls, 1u);
+  EXPECT_EQ(sky_->metrics().aborted_calls->Value(), 1u);
   ExpectHealthy();
 }
 
@@ -278,7 +278,7 @@ TEST_F(BatchTest, CorruptReplyRejectsOneEntryAndBatchContinues) {
     ASSERT_TRUE(token.ok());
     tokens.push_back(*token);
   }
-  const uint64_t rejections_before = sky_->stats().gate_rejections;
+  const uint64_t rejections_before = sky_->metrics().gate_rejections->Value();
   sb::fault::Arm(kFaultReplyCorrupt, {.nth_hit = 2});
   ASSERT_TRUE(sky_->FlushBatch(p.thread, p.sid).ok());  // The batch survives.
 
@@ -289,7 +289,7 @@ TEST_F(BatchTest, CorruptReplyRejectsOneEntryAndBatchContinues) {
     ASSERT_TRUE(reply.ok()) << reply.status().ToString();
     EXPECT_EQ(reply->ToString(), "payload");
   }
-  EXPECT_EQ(sky_->stats().gate_rejections, rejections_before + 1);
+  EXPECT_EQ(sky_->metrics().gate_rejections->Value(), rejections_before + 1);
   ExpectHealthy();
 }
 
@@ -307,7 +307,7 @@ TEST_F(BatchTest, RevokedBindingFailsPendingEntriesClientSide) {
 
   // The flush does not cross; pending entries complete with PermissionDenied.
   ASSERT_TRUE(sky_->FlushBatch(p.thread, p.sid).ok());
-  EXPECT_EQ(sky_->stats().batch_flushes, 0u);  // No crossing happened.
+  EXPECT_EQ(sky_->metrics().batch_flushes->Value(), 0u);  // No crossing happened.
   for (const uint64_t token : tokens) {
     auto reply = sky_->PollCompletion(p.thread, p.sid, token);
     EXPECT_EQ(reply.status().code(), ErrorCode::kPermissionDenied);
@@ -354,9 +354,8 @@ TEST_F(BatchTest, AdaptiveDrainPicksUpRefillRounds) {
   for (const uint64_t token : refill_tokens) {
     EXPECT_TRUE(sky_->PollCompletion(p.thread, p.sid, token).ok());
   }
-  const SkyBridgeStats& stats = sky_->stats();
-  EXPECT_EQ(stats.batch_flushes, 1u);
-  EXPECT_GE(stats.batch_drain_rounds, 3u);
+  EXPECT_EQ(sky_->metrics().batch_flushes->Value(), 1u);
+  EXPECT_GE(sky_->metrics().drain_rounds->Value(), 3u);
   ExpectHealthy();
 }
 
@@ -375,7 +374,7 @@ TEST_F(BatchTest, DrainRoundsBoundedByConfig) {
   ASSERT_TRUE(sky_->FlushBatch(p.thread, p.sid).ok());
   sky_->SetBatchRefill(nullptr);
 
-  EXPECT_EQ(sky_->stats().batch_drain_rounds, 2u);
+  EXPECT_EQ(sky_->metrics().drain_rounds->Value(), 2u);
   // The last refilled entry is still pending; a second flush finishes it.
   ASSERT_TRUE(sky_->FlushBatch(p.thread, p.sid).ok());
   ExpectHealthy();

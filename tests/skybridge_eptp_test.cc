@@ -15,6 +15,7 @@
 
 #include "src/base/faultpoint.h"
 #include "src/vmm/rootkernel.h"
+#include "tests/skybridge_attack_peer.h"
 
 namespace skybridge {
 namespace {
@@ -156,7 +157,8 @@ TEST_F(SkyBridgeEptpTest, ConsolidatedClientsKeepDistinctSlicesAndKeys) {
   // Distinct per-connection calling keys: a wrong key is rejected at the
   // server-side gate even though both clients enter through the SAME EPT.
   ASSERT_TRUE(sky_->DirectServerCall(ta, sid, Message(1)).ok());
-  auto forged = sky_->CallWithForgedKey(ta, sid, Message(2), 0xdeadbeefULL);
+  auto forged =
+      SkyBridgeAttackPeer::CallWithForgedKey(*sky_, ta, sid, Message(2), 0xdeadbeefULL);
   EXPECT_EQ(forged.status().code(), ErrorCode::kPermissionDenied);
   auto genuine = sky_->DirectServerCall(tb, sid, Message(3));
   ASSERT_TRUE(genuine.ok()) << genuine.status().ToString();
@@ -262,9 +264,9 @@ TEST_F(SkyBridgeEptpTest, SlotFaultsServeMoreBindingsThanSlots) {
       ExpectInvariants();
     }
   }
-  EXPECT_GT(sky_->stats().slot_faults, 0u);
-  EXPECT_EQ(sky_->stats().rejected_calls, 0u);
-  EXPECT_EQ(sky_->stats().stale_slot_retries, 0u);
+  EXPECT_GT(sky_->metrics().slot_faults->Value(), 0u);
+  EXPECT_EQ(sky_->metrics().rejected_calls->Value(), 0u);
+  EXPECT_EQ(sky_->metrics().stale_slot_retries->Value(), 0u);
 }
 
 TEST_F(SkyBridgeEptpTest, HotBindingNeverFaultsUnderLru) {
@@ -286,16 +288,16 @@ TEST_F(SkyBridgeEptpTest, HotBindingNeverFaultsUnderLru) {
   // Interleave: the hot binding is touched every call; cold ones rotate and
   // thrash the remaining slots. LRU must keep the hot EPT resident.
   ASSERT_TRUE(sky_->DirectServerCall(thread, hot, Message(0)).ok());
-  const uint64_t faults_after_warm = sky_->stats().slot_faults;
+  const uint64_t faults_after_warm = sky_->metrics().slot_faults->Value();
   uint64_t hot_faults = 0;
   for (int i = 0; i < 48; ++i) {
-    const uint64_t before = sky_->stats().slot_faults;
+    const uint64_t before = sky_->metrics().slot_faults->Value();
     ASSERT_TRUE(sky_->DirectServerCall(thread, hot, Message(1)).ok());
-    hot_faults += sky_->stats().slot_faults - before;
+    hot_faults += sky_->metrics().slot_faults->Value() - before;
     ASSERT_TRUE(sky_->DirectServerCall(thread, cold[i % cold.size()], Message(2)).ok());
   }
   EXPECT_EQ(hot_faults, 0u) << "hot binding was evicted under LRU";
-  EXPECT_GT(sky_->stats().slot_faults, faults_after_warm);  // Cold set thrashed.
+  EXPECT_GT(sky_->metrics().slot_faults->Value(), faults_after_warm);  // Cold set thrashed.
   ExpectInvariants();
 }
 
@@ -319,16 +321,16 @@ TEST_F(SkyBridgeEptpTest, NaiveRotationAblationStillCorrectButFaultsHotSet) {
   ASSERT_TRUE(sky_->DirectServerCall(thread, hot, Message(0)).ok());
   uint64_t hot_faults = 0;
   for (int i = 0; i < 48; ++i) {
-    const uint64_t before = sky_->stats().slot_faults;
+    const uint64_t before = sky_->metrics().slot_faults->Value();
     ASSERT_TRUE(sky_->DirectServerCall(thread, hot, Message(1)).ok());
-    hot_faults += sky_->stats().slot_faults - before;
+    hot_faults += sky_->metrics().slot_faults->Value() - before;
     ASSERT_TRUE(sky_->DirectServerCall(thread, cold[i % cold.size()], Message(2)).ok());
     ExpectInvariants();
   }
   // Recency-blind victim selection eventually evicts the hot binding too —
   // the correctness contract holds, only the fault rate suffers.
   EXPECT_GT(hot_faults, 0u);
-  EXPECT_EQ(sky_->stats().rejected_calls, 0u);
+  EXPECT_EQ(sky_->metrics().rejected_calls->Value(), 0u);
 }
 
 // Satellite regression: eviction on core A must not leave a stale cached
@@ -365,17 +367,17 @@ TEST_F(SkyBridgeEptpTest, EvictionOnOneCoreDoesNotStaleAnother) {
   EXPECT_EQ(sky_->ResidentBindingSlot(client, target, 1), slot_on_1);
 
   // The next call on core 1 is a pure hit: no slot fault, no stale retry.
-  const uint64_t faults_before = sky_->stats().slot_faults;
-  const uint64_t retries_before = sky_->stats().stale_slot_retries;
+  const uint64_t faults_before = sky_->metrics().slot_faults->Value();
+  const uint64_t retries_before = sky_->metrics().stale_slot_retries->Value();
   auto reply = sky_->DirectServerCall(t1, target, Message(2));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  EXPECT_EQ(sky_->stats().slot_faults, faults_before);
-  EXPECT_EQ(sky_->stats().stale_slot_retries, retries_before);
+  EXPECT_EQ(sky_->metrics().slot_faults->Value(), faults_before);
+  EXPECT_EQ(sky_->metrics().stale_slot_retries->Value(), retries_before);
 
   // And core 0 transparently faults the binding back in.
   auto refault = sky_->DirectServerCall(t0, target, Message(3));
   ASSERT_TRUE(refault.ok()) << refault.status().ToString();
-  EXPECT_EQ(sky_->stats().slot_faults, faults_before + 1);
+  EXPECT_EQ(sky_->metrics().slot_faults->Value(), faults_before + 1);
   ExpectInvariants();
 }
 
@@ -393,10 +395,10 @@ TEST_F(SkyBridgeEptpTest, SlotInstallFaultSurfacesUnavailableThenRecovers) {
   sb::fault::FaultSpec spec;
   spec.nth_hit = 1;
   sb::fault::Arm(kFaultSlotInstall, spec);
-  const uint64_t rejected_before = sky_->stats().rejected_calls;
+  const uint64_t rejected_before = sky_->metrics().rejected_calls->Value();
   auto refused = sky_->DirectServerCall(thread, sid, Message(1));
   EXPECT_EQ(refused.status().code(), ErrorCode::kUnavailable);
-  EXPECT_EQ(sky_->stats().rejected_calls, rejected_before + 1);
+  EXPECT_EQ(sky_->metrics().rejected_calls->Value(), rejected_before + 1);
   EXPECT_EQ(sky_->InFlightCalls(), 0u);
   ExpectInvariants();
 
@@ -405,7 +407,7 @@ TEST_F(SkyBridgeEptpTest, SlotInstallFaultSurfacesUnavailableThenRecovers) {
   auto reply = sky_->DirectServerCall(thread, sid, Message(2));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->tag, 2u);
-  EXPECT_GE(sky_->stats().slot_faults, 2u);  // The refused attempt counted too.
+  EXPECT_GE(sky_->metrics().slot_faults->Value(), 2u);  // The refused attempt counted too.
   ExpectInvariants();
 }
 
@@ -442,7 +444,7 @@ TEST_F(SkyBridgeEptpTest, NestedCallSlotFaultSparesPinnedGateSlots) {
     EXPECT_EQ(reply->tag, static_cast<uint64_t>(10 * i + 1));
     ExpectInvariants();
   }
-  EXPECT_EQ(sky_->stats().rejected_calls, 0u);
+  EXPECT_EQ(sky_->metrics().rejected_calls->Value(), 0u);
 }
 
 }  // namespace

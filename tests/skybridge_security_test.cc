@@ -16,6 +16,7 @@
 #include "src/x86/assembler.h"
 #include "src/x86/decoder.h"
 #include "src/x86/scanner.h"
+#include "tests/skybridge_attack_peer.h"
 
 namespace skybridge {
 namespace {
@@ -170,7 +171,7 @@ TEST_P(SecurityTest, WxDynamicCodeRescanOnUpdate) {
   mk::Thread* t = client->AddThread(0);
   ASSERT_TRUE(kernel_->ContextSwitchTo(machine_->core(0), client).ok());
   ASSERT_TRUE(sky_->DirectServerCall(t, sid, Message(1)).ok());
-  const uint64_t rewrites_before = sky_->stats().rewritten_vmfuncs;
+  const uint64_t rewrites_before = sky_->metrics().rewritten_vmfuncs->Value();
 
   // The "JIT" emits new code containing a gate and an embedded pattern.
   x86::Assembler jit;
@@ -188,7 +189,7 @@ TEST_P(SecurityTest, WxDynamicCodeRescanOnUpdate) {
   x86::ScanOptions scan;
   scan.pattern = GatePattern();
   EXPECT_TRUE(x86::FindVmfuncBytes(client->code_image(), scan).empty());
-  EXPECT_GE(sky_->stats().rewritten_vmfuncs, rewrites_before + 2);
+  EXPECT_GE(sky_->metrics().rewritten_vmfuncs->Value(), rewrites_before + 2);
   // The pattern's rewrite window was (re)generated and the bindings still
   // work (VMFUNC snippets live at window 0, WRPKRU snippets at window 1).
   const hw::Gva window = mk::kRewritePageVa + (IsMpk() ? 16 * sb::kPageSize : 0);
@@ -308,13 +309,14 @@ TEST_P(SecurityTest, CrossDomainReadMatchesTheBackendIsolationMatrix) {
   // One legitimate call plants the secret in the server's heap.
   ASSERT_TRUE(sky_->DirectServerCall(t, sid, Message(0)).ok());
 
-  auto stolen = sky_->ProbeCrossDomainRead(t, sid, mk::kHeapVa + 0x40);
+  auto stolen =
+      SkyBridgeAttackPeer::ProbeCrossDomainRead(*sky_, t, sid, mk::kHeapVa + 0x40);
   if (IsMpk()) {
     ASSERT_TRUE(stolen.ok()) << stolen.status().ToString();
     EXPECT_EQ(*stolen, kSecret);
   } else {
     EXPECT_EQ(stolen.status().code(), sb::ErrorCode::kPermissionDenied);
-    EXPECT_GE(sky_->stats().rejected_calls, 1u);
+    EXPECT_GE(sky_->metrics().rejected_calls->Value(), 1u);
   }
 }
 
@@ -340,7 +342,8 @@ TEST_P(SecurityTest, MpkForgeryExposesEvenTheCallingKeyTable) {
   const uint64_t real_key = machine_->mem().ReadU64(table.gpa);
   ASSERT_NE(real_key, 0u);
 
-  auto stolen = sky_->ProbeCrossDomainRead(t, sid, mk::kCallingKeyTableVa);
+  auto stolen =
+      SkyBridgeAttackPeer::ProbeCrossDomainRead(*sky_, t, sid, mk::kCallingKeyTableVa);
   ASSERT_TRUE(stolen.ok()) << stolen.status().ToString();
   EXPECT_EQ(*stolen, real_key);
   // With the stolen key the client's own slot is all it can forge — but the

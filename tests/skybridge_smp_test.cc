@@ -1,7 +1,7 @@
 // Cross-core control-plane tests (DESIGN.md section 11): thread migration
 // racing in-flight calls, revocation racing migration, eager-vs-lazy EPTP
 // re-install parity, and true host-thread concurrency over disjoint pairs
-// (the ThreadSanitizer target) including the stats() consistency rule.
+// (the ThreadSanitizer target) including the batch flush-order rule.
 
 #include <atomic>
 #include <thread>
@@ -93,20 +93,20 @@ TEST_F(SkyBridgeSmpTest, MigrateWhileInFlight) {
 
   // Warm call, then the migrating call.
   ASSERT_TRUE(sky_->DirectServerCall(p.thread, p.sid, Message(0)).ok());
-  const uint64_t installs_before = sky_->stats().migration_installs;
+  const uint64_t installs_before = sky_->metrics().migration_installs->Value();
   auto reply = sky_->DirectServerCall(p.thread, p.sid, Message(42));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->tag, 42u);
   EXPECT_EQ(p.thread->core_id(), 3);
-  EXPECT_EQ(sky_->stats().migration_installs, installs_before + 1);
+  EXPECT_EQ(sky_->metrics().migration_installs->Value(), installs_before + 1);
   ASSERT_TRUE(sky_->CheckInvariants().ok()) << sky_->CheckInvariants().ToString();
 
   // The next call runs on the new core without re-dispatch or stale retries.
-  const uint64_t retries_before = sky_->stats().stale_slot_retries;
+  const uint64_t retries_before = sky_->metrics().stale_slot_retries->Value();
   auto after = sky_->DirectServerCall(p.thread, p.sid, Message(7));
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ(kernel_->current_process(3), p.client);
-  EXPECT_EQ(sky_->stats().stale_slot_retries, retries_before);
+  EXPECT_EQ(sky_->metrics().stale_slot_retries->Value(), retries_before);
   ASSERT_TRUE(sky_->CheckInvariants().ok());
 }
 
@@ -159,8 +159,10 @@ TEST_F(SkyBridgeSmpTest, RevokeDuringMigration) {
 TEST_F(SkyBridgeSmpTest, EagerAndLazyMigrationConverge) {
   struct WorldResult {
     std::vector<uint64_t> tags;
-    SkyBridgeStats stats;
-    size_t installed;
+    // direct_calls, rejected_calls, stale_slot_retries, eptp_misses.
+    std::vector<uint64_t> counters;
+    uint64_t migration_installs = 0;
+    size_t installed = 0;
   };
   auto run = [&](bool eager) -> WorldResult {
     Boot();
@@ -179,7 +181,10 @@ TEST_F(SkyBridgeSmpTest, EagerAndLazyMigrationConverge) {
       r.tags.push_back(reply->tag);
     }
     SB_CHECK(sky_->CheckInvariants().ok()) << sky_->CheckInvariants().ToString();
-    r.stats = sky_->stats();
+    const SkyBridge::Metrics& m = sky_->metrics();
+    r.counters = {m.direct_calls->Value(), m.rejected_calls->Value(),
+                  m.stale_slot_retries->Value(), m.eptp_misses->Value()};
+    r.migration_installs = m.migration_installs->Value();
     r.installed = sky_->InstalledBindings(p.client).value();
     return r;
   };
@@ -188,20 +193,16 @@ TEST_F(SkyBridgeSmpTest, EagerAndLazyMigrationConverge) {
   const WorldResult lazy = run(/*eager=*/false);
   EXPECT_EQ(eager.tags, lazy.tags);
   EXPECT_EQ(eager.installed, lazy.installed);
-  EXPECT_EQ(eager.stats.direct_calls, lazy.stats.direct_calls);
-  EXPECT_EQ(eager.stats.rejected_calls, lazy.stats.rejected_calls);
-  EXPECT_EQ(eager.stats.stale_slot_retries, lazy.stats.stale_slot_retries);
-  EXPECT_EQ(eager.stats.eptp_misses, lazy.stats.eptp_misses);
+  EXPECT_EQ(eager.counters, lazy.counters);
   // The one sanctioned difference: where the post-migration install ran.
-  EXPECT_GT(eager.stats.migration_installs, 0u);
-  EXPECT_EQ(lazy.stats.migration_installs, 0u);
+  EXPECT_GT(eager.migration_installs, 0u);
+  EXPECT_EQ(lazy.migration_installs, 0u);
 }
 
 // The ThreadSanitizer target: disjoint (client, server) pairs hammered from
-// real host threads, one per simulated core, with a concurrent stats()
+// real host threads, one per simulated core, with a concurrent counter
 // reader. Steady-state calls share no mutable control-plane word, so this
-// must be race-free; the reader checks the documented stats() consistency
-// rule (per-field monotonicity, thread-local snapshot identity).
+// must be race-free; the reader checks DESIGN.md section 11's read rules.
 TEST_F(SkyBridgeSmpTest, ConcurrentDisjointPairsAndStatsSnapshot) {
   Boot();
   constexpr int kPairs = 4;
@@ -215,7 +216,7 @@ TEST_F(SkyBridgeSmpTest, ConcurrentDisjointPairsAndStatsSnapshot) {
   for (const Pair& p : pairs) {
     ASSERT_TRUE(sky_->DirectServerCall(p.thread, p.sid, Message(0)).ok());
   }
-  const uint64_t warm_calls = sky_->stats().direct_calls;
+  const uint64_t warm_calls = sky_->metrics().direct_calls->Value();
 
   // Every kBatchEvery direct calls, each caller also pushes one batch of
   // kBatchDepth through its submission ring, so the batch counters mutate
@@ -226,33 +227,32 @@ TEST_F(SkyBridgeSmpTest, ConcurrentDisjointPairsAndStatsSnapshot) {
 
   std::atomic<bool> stop{false};
   std::thread reader([&] {
-    const SkyBridgeStats* last_addr = nullptr;
+    const SkyBridge::Metrics& m = sky_->metrics();
     uint64_t last_calls = 0;
     uint64_t last_batched = 0;
     uint64_t last_flushes = 0;
     uint64_t last_rounds = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      const SkyBridgeStats& s = sky_->stats();
-      // Thread-local snapshot: same address every time on this thread.
-      if (last_addr != nullptr) {
-        ASSERT_EQ(&s, last_addr);
-      }
-      last_addr = &s;
-      // Per-field monotonicity under concurrent mutation.
-      ASSERT_GE(s.direct_calls, last_calls);
-      ASSERT_LE(s.direct_calls, warm_calls + kPairs * kCallsPerPair);
-      ASSERT_EQ(s.rejected_calls, 0u);
-      ASSERT_GE(s.batched_calls, last_batched);
-      ASSERT_LE(s.batched_calls, kPairs * kBatchesPerPair * kBatchDepth);
-      ASSERT_GE(s.batch_flushes, last_flushes);
-      ASSERT_GE(s.batch_drain_rounds, last_rounds);
+      // Flushes first: a flush is published after its rounds and entries.
+      const uint64_t flushes = m.batch_flushes->Value();
+      const uint64_t batched = m.batched_calls->Value();
+      const uint64_t rounds = m.drain_rounds->Value();
+      const uint64_t calls = m.direct_calls->Value();
+      // Per-counter monotonicity under concurrent mutation.
+      ASSERT_GE(calls, last_calls);
+      ASSERT_LE(calls, warm_calls + kPairs * kCallsPerPair);
+      ASSERT_EQ(m.rejected_calls->Value(), 0u);
+      ASSERT_GE(batched, last_batched);
+      ASSERT_LE(batched, kPairs * kBatchesPerPair * kBatchDepth);
+      ASSERT_GE(flushes, last_flushes);
+      ASSERT_GE(rounds, last_rounds);
       // Each flush drains at least one round; rounds never outrun entries.
-      ASSERT_GE(s.batch_drain_rounds, s.batch_flushes);
-      ASSERT_LE(s.batch_flushes, s.batched_calls);
-      last_calls = s.direct_calls;
-      last_batched = s.batched_calls;
-      last_flushes = s.batch_flushes;
-      last_rounds = s.batch_drain_rounds;
+      ASSERT_GE(rounds, flushes);
+      ASSERT_LE(flushes, batched);
+      last_calls = calls;
+      last_batched = batched;
+      last_flushes = flushes;
+      last_rounds = rounds;
     }
   });
 
@@ -282,13 +282,13 @@ TEST_F(SkyBridgeSmpTest, ConcurrentDisjointPairsAndStatsSnapshot) {
   stop.store(true, std::memory_order_release);
   reader.join();
 
-  // Quiesced: exact counts, and the caller-thread snapshot agrees.
-  const SkyBridgeStats& s = sky_->stats();
-  EXPECT_EQ(s.direct_calls, warm_calls + kPairs * kCallsPerPair);
-  EXPECT_EQ(s.rejected_calls, 0u);
-  EXPECT_EQ(s.batched_calls, kPairs * kBatchesPerPair * kBatchDepth);
-  EXPECT_EQ(s.batch_flushes, kPairs * kBatchesPerPair);
-  EXPECT_GE(s.batch_drain_rounds, s.batch_flushes);
+  // Quiesced: exact counts.
+  const SkyBridge::Metrics& m = sky_->metrics();
+  EXPECT_EQ(m.direct_calls->Value(), warm_calls + kPairs * kCallsPerPair);
+  EXPECT_EQ(m.rejected_calls->Value(), 0u);
+  EXPECT_EQ(m.batched_calls->Value(), kPairs * kBatchesPerPair * kBatchDepth);
+  EXPECT_EQ(m.batch_flushes->Value(), kPairs * kBatchesPerPair);
+  EXPECT_GE(m.drain_rounds->Value(), m.batch_flushes->Value());
   EXPECT_EQ(sky_->InFlightCalls(), 0u);
   ASSERT_TRUE(sky_->CheckInvariants().ok()) << sky_->CheckInvariants().ToString();
 }
@@ -339,7 +339,7 @@ TEST_F(SkyBridgeSmpTest, ConsolidatedSiblingsCallConcurrentlyAcrossCores) {
     t.join();
   }
   EXPECT_EQ(sky_->InFlightCalls(), 0u);
-  EXPECT_EQ(sky_->stats().rejected_calls, 0u);
+  EXPECT_EQ(sky_->metrics().rejected_calls->Value(), 0u);
   ASSERT_TRUE(sky_->CheckInvariants().ok()) << sky_->CheckInvariants().ToString();
 
   // The shared slot survives the storm: every sibling resolves to the same

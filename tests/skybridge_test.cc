@@ -13,6 +13,7 @@
 
 #include "src/x86/assembler.h"
 #include "src/x86/scanner.h"
+#include "tests/skybridge_attack_peer.h"
 
 namespace skybridge {
 namespace {
@@ -87,7 +88,7 @@ TEST_P(SkyBridgeTest, DirectCallRoundTrip) {
   auto reply = sky_->DirectServerCall(p.thread, p.sid, Message(42));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->tag, 42u);
-  EXPECT_EQ(sky_->stats().direct_calls, 1u);
+  EXPECT_EQ(sky_->metrics().direct_calls->Value(), 1u);
 }
 
 TEST_P(SkyBridgeTest, WarmRoundtripMatchesTheBackendCostModel) {
@@ -187,7 +188,7 @@ TEST_P(SkyBridgeTest, LongMessagesThroughSharedBuffer) {
   EXPECT_EQ(seen.size(), 5000u);
   EXPECT_EQ(seen[0], 'Q');
   EXPECT_EQ(reply->size(), 3000u);
-  EXPECT_EQ(sky_->stats().long_calls, 1u);
+  EXPECT_EQ(sky_->metrics().long_calls->Value(), 1u);
 }
 
 TEST_P(SkyBridgeTest, UnregisteredClientRejected) {
@@ -197,15 +198,16 @@ TEST_P(SkyBridgeTest, UnregisteredClientRejected) {
   mk::Thread* t = stranger->AddThread(1);
   auto result = sky_->DirectServerCall(t, p.sid, Message(0));
   EXPECT_EQ(result.status().code(), sb::ErrorCode::kPermissionDenied);
-  EXPECT_EQ(sky_->stats().rejected_calls, 1u);
+  EXPECT_EQ(sky_->metrics().rejected_calls->Value(), 1u);
 }
 
 TEST_P(SkyBridgeTest, ForgedCallingKeyRejected) {
   Boot();
   Pair p = MakePair(EchoHandler());
-  auto result = sky_->CallWithForgedKey(p.thread, p.sid, Message(0), 0x1234);
+  auto result =
+      SkyBridgeAttackPeer::CallWithForgedKey(*sky_, p.thread, p.sid, Message(0), 0x1234);
   EXPECT_EQ(result.status().code(), sb::ErrorCode::kPermissionDenied);
-  EXPECT_GE(sky_->stats().rejected_calls, 1u);
+  EXPECT_GE(sky_->metrics().rejected_calls->Value(), 1u);
   // The legitimate path still works afterwards.
   EXPECT_TRUE(sky_->DirectServerCall(p.thread, p.sid, Message(0)).ok());
 }
@@ -216,7 +218,8 @@ TEST_P(SkyBridgeTest, CallingKeyCheckCanBeDisabled) {
   Boot(mk::Sel4Profile(), config);
   Pair p = MakePair(EchoHandler());
   // With checks off, even a forged key passes (the ablation's insecurity).
-  EXPECT_TRUE(sky_->CallWithForgedKey(p.thread, p.sid, Message(0), 0x1234).ok());
+  EXPECT_TRUE(
+      SkyBridgeAttackPeer::CallWithForgedKey(*sky_, p.thread, p.sid, Message(0), 0x1234).ok());
 }
 
 TEST_P(SkyBridgeTest, RegistrationRewritesPlantedGatePattern) {
@@ -264,15 +267,15 @@ TEST_P(SkyBridgeTest, RegistrationRewritesPlantedGatePattern) {
     mk::Thread* thread = evil->AddThread(0);
     ASSERT_TRUE(kernel_->ContextSwitchTo(machine_->core(0), evil).ok());
     ASSERT_TRUE(sky_->DirectServerCall(thread, sid, Message(1)).ok());
-    EXPECT_GE(sky_->stats().exec_faults, 1u);
-    EXPECT_GE(sky_->stats().lazy_rewrites, 1u);
+    EXPECT_GE(sky_->metrics().exec_faults->Value(), 1u);
+    EXPECT_GE(sky_->metrics().lazy_rewrites->Value(), 1u);
     EXPECT_TRUE(ept->Walk(code_walk.gpa, hw::kEptExec).ok);
   }
   EXPECT_TRUE(evil->code_rewritten());
   EXPECT_TRUE(x86::FindVmfuncBytes(evil->code_image(), options).empty());
   // The VMFUNC scrub runs for every view-slot backend, MPK included.
   EXPECT_TRUE(x86::FindVmfuncBytes(evil->code_image()).empty());
-  EXPECT_GE(sky_->stats().rewritten_vmfuncs, 2u);
+  EXPECT_GE(sky_->metrics().rewritten_vmfuncs->Value(), 2u);
   // The rewrite window got mapped at the pattern's fixed address: VMFUNC
   // snippets at window 0 (the paper's address), WRPKRU snippets at window 1.
   const hw::Gva window = mk::kRewritePageVa + (IsMpk() ? 16 * sb::kPageSize : 0);
@@ -297,7 +300,7 @@ TEST_P(SkyBridgeTest, TimeoutForcesReturn) {
   Pair p = MakePair(slow);
   auto result = sky_->DirectServerCall(p.thread, p.sid, Message(0));
   EXPECT_EQ(result.status().code(), sb::ErrorCode::kTimeout);
-  EXPECT_EQ(sky_->stats().timeouts, 1u);
+  EXPECT_EQ(sky_->metrics().timeouts->Value(), 1u);
 }
 
 TEST_P(SkyBridgeTest, ConnectionLimitEnforced) {
@@ -365,30 +368,30 @@ TEST_P(SkyBridgeTest, EptpLruEvictionBeyondCapacity) {
       EXPECT_EQ(reply->tag, 200u + static_cast<uint64_t>(i));
     }
   }
-  EXPECT_GT(sky_->stats().eptp_misses, 0u);
+  EXPECT_GT(sky_->metrics().eptp_misses->Value(), 0u);
   EXPECT_EQ(*sky_->InstalledBindings(client), 2u);
 }
 
 TEST_P(SkyBridgeTest, RouteCacheServesRepeatCallsWithoutIndexLookups) {
   Boot();
   Pair p = MakePair(EchoHandler());
-  const uint64_t misses0 = sky_->stats().binding_lookup_misses;
+  const uint64_t misses0 = sky_->metrics().lookup_misses->Value();
   ASSERT_TRUE(sky_->DirectServerCall(p.thread, p.sid, Message(0)).ok());
   // First call: cold per-thread cache -> one index lookup.
-  EXPECT_EQ(sky_->stats().binding_lookup_misses, misses0 + 1);
-  const uint64_t hits0 = sky_->stats().binding_lookup_hits;
+  EXPECT_EQ(sky_->metrics().lookup_misses->Value(), misses0 + 1);
+  const uint64_t hits0 = sky_->metrics().lookup_hits->Value();
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(sky_->DirectServerCall(p.thread, p.sid, Message(0)).ok());
   }
   // Every repeat call hits the per-thread last-route cache; nothing falls
   // through to the index (and, a fortiori, nothing scans the binding table).
-  EXPECT_EQ(sky_->stats().binding_lookup_hits, hits0 + 50);
-  EXPECT_EQ(sky_->stats().binding_lookup_misses, misses0 + 1);
+  EXPECT_EQ(sky_->metrics().lookup_hits->Value(), hits0 + 50);
+  EXPECT_EQ(sky_->metrics().lookup_misses->Value(), misses0 + 1);
 
   // A second thread has its own (cold) cache.
   mk::Thread* t2 = p.client->AddThread(0);
   ASSERT_TRUE(sky_->DirectServerCall(t2, p.sid, Message(0)).ok());
-  EXPECT_EQ(sky_->stats().binding_lookup_misses, misses0 + 2);
+  EXPECT_EQ(sky_->metrics().lookup_misses->Value(), misses0 + 2);
 }
 
 TEST_P(SkyBridgeTest, AlternatingServersFallBackToTheIndex) {
@@ -405,8 +408,8 @@ TEST_P(SkyBridgeTest, AlternatingServersFallBackToTheIndex) {
     sids.push_back(sid);
   }
   ASSERT_TRUE(kernel_->ContextSwitchTo(machine_->core(0), client).ok());
-  const uint64_t hits0 = sky_->stats().binding_lookup_hits;
-  const uint64_t misses0 = sky_->stats().binding_lookup_misses;
+  const uint64_t hits0 = sky_->metrics().lookup_hits->Value();
+  const uint64_t misses0 = sky_->metrics().lookup_misses->Value();
   for (int i = 0; i < 20; ++i) {
     auto reply = sky_->DirectServerCall(t, sids[static_cast<size_t>(i % 2)], Message(0));
     ASSERT_TRUE(reply.ok());
@@ -414,8 +417,8 @@ TEST_P(SkyBridgeTest, AlternatingServersFallBackToTheIndex) {
   }
   // The alternation defeats the single-entry thread cache: every call is an
   // index lookup, and every one still resolves correctly.
-  EXPECT_EQ(sky_->stats().binding_lookup_hits, hits0);
-  EXPECT_EQ(sky_->stats().binding_lookup_misses, misses0 + 20);
+  EXPECT_EQ(sky_->metrics().lookup_hits->Value(), hits0);
+  EXPECT_EQ(sky_->metrics().lookup_misses->Value(), misses0 + 20);
 }
 
 TEST_P(SkyBridgeTest, EvictionReshuffleInvalidatesCachedSlots) {
@@ -463,8 +466,8 @@ TEST_P(SkyBridgeTest, EvictionReshuffleInvalidatesCachedSlots) {
       expect_marker(i);
     }
   }
-  EXPECT_GT(sky_->stats().eptp_misses, 0u);
-  EXPECT_EQ(sky_->stats().rejected_calls, 0u);
+  EXPECT_GT(sky_->metrics().eptp_misses->Value(), 0u);
+  EXPECT_EQ(sky_->metrics().rejected_calls->Value(), 0u);
 }
 
 TEST_P(SkyBridgeTest, NestedCallEvictionSparesThePinnedEntryEpt) {
@@ -512,15 +515,15 @@ TEST_P(SkyBridgeTest, NestedCallEvictionSparesThePinnedEntryEpt) {
   auto reply = sky_->DirectServerCall(t, middle_sid, Message(0));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->tag, 71u * 100 + 72);
-  EXPECT_EQ(sky_->stats().rejected_calls, 0u);
+  EXPECT_EQ(sky_->metrics().rejected_calls->Value(), 0u);
 
   // The enclosing client->middle binding survived both inner installs: the
   // next top-level call needs no reinstall.
-  const uint64_t misses = sky_->stats().eptp_misses;
+  const uint64_t misses = sky_->metrics().eptp_misses->Value();
   reply = sky_->DirectServerCall(t, middle_sid, Message(0));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->tag, 71u * 100 + 72);
-  EXPECT_GT(sky_->stats().eptp_misses, misses);  // Chain bindings churn...
+  EXPECT_GT(sky_->metrics().eptp_misses->Value(), misses);  // Chain bindings churn...
   auto installed = sky_->InstalledBindings(client);
   ASSERT_TRUE(installed.ok());
   EXPECT_EQ(*installed, 2u);  // ...but the list never exceeds capacity.
@@ -531,18 +534,18 @@ TEST_P(SkyBridgeTest, RegistrationScanStatsAreRecorded) {
   Pair p = MakePair(EchoHandler());
   if (IsSyscall()) {
     // No gate primitive to scrub: registration never scanned anything.
-    EXPECT_EQ(sky_->stats().scan_pages, 0u);
-    EXPECT_EQ(sky_->stats().scan_threads, 0u);
+    EXPECT_EQ(sky_->metrics().scan_pages->Value(), 0u);
+    EXPECT_EQ(sky_->metrics().scan_threads->Value(), 0u);
     return;
   }
   if (sky_->config().registration_mode == RegistrationMode::kLazy) {
     // Staged registration defers every scan to first execution.
-    EXPECT_EQ(sky_->stats().scan_pages, 0u);
+    EXPECT_EQ(sky_->metrics().scan_pages->Value(), 0u);
     ASSERT_TRUE(sky_->DirectServerCall(p.thread, p.sid, Message(0)).ok());
   }
   // Registration (or the first call, under lazy) scanned the code pages.
-  EXPECT_GT(sky_->stats().scan_pages, 0u);
-  EXPECT_GE(sky_->stats().scan_threads, 1u);
+  EXPECT_GT(sky_->metrics().scan_pages->Value(), 0u);
+  EXPECT_GE(sky_->metrics().scan_threads->Value(), 1u);
 }
 
 TEST_P(SkyBridgeTest, SkyBridgeBeatsKernelIpcOnEveryPersonality) {

@@ -16,6 +16,7 @@
 // SB_STRESS_ARTIFACT_DIR=<dir> additionally writes the failing seed's
 // Chrome-trace replay to <dir>/stress_seed_<seed>.trace.json.
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -37,6 +38,7 @@
 #include "src/sim/executor.h"
 #include "src/skybridge/skybridge.h"
 #include "src/vmm/rootkernel.h"
+#include "src/x86/rewrite_cache.h"
 
 namespace skybridge {
 namespace {
@@ -336,12 +338,6 @@ class StressScenario {
     EXPECT_TRUE(sky.DirectServerCall(late_thread, sid, Message(3)).ok());
     RecordFires(kFaultExecScan);
     sb::fault::DisarmAll();
-
-    const SkyBridgeStats lazy = sky.stats();
-    lazy_exec_faults_ = lazy.exec_faults;
-    lazy_rewrites_ = lazy.lazy_rewrites;
-    lazy_cache_hits_ = lazy.cache_hits;
-    lazy_cache_misses_ = lazy.cache_misses;
   }
 
   // Phase 2: three concurrent virtual-time threads (kv pipeline, echo,
@@ -573,7 +569,7 @@ class StressScenario {
       EXPECT_TRUE(invariants.ok()) << invariants.ToString();
       EXPECT_EQ(sky.InFlightCalls(), 0u);
     }
-    thrash_slot_faults_ = sky.stats().slot_faults;
+    thrash_slot_faults_ = sky.metrics().slot_faults->Value();
     EXPECT_GT(thrash_slot_faults_, 0u);
     RecordFires(kFaultSlotInstall);
     RecordFires(kFaultPreVmfunc);
@@ -620,7 +616,7 @@ class StressScenario {
       EXPECT_TRUE(invariants.ok()) << invariants.ToString();
       EXPECT_EQ((*stack)->sky()->InFlightCalls(), 0u);
     }
-    sqlite_stale_retries_ = (*stack)->sky()->stats().stale_slot_retries;
+    sqlite_stale_retries_ = (*stack)->sky()->metrics().stale_slot_retries->Value();
     RecordFires(kFaultPreVmfunc);
     sb::fault::DisarmAll();
   }
@@ -629,21 +625,25 @@ class StressScenario {
   // Deliberately omits scan_threads: it is a widest-fan-out gauge whose
   // value depends on host scheduling inside the registration thread pool.
   std::string CounterFingerprint() const {
-    const SkyBridgeStats s = sky_->stats();
+    const SkyBridge::Metrics& m = sky_->metrics();
     std::ostringstream out;
-    out << "direct_calls=" << s.direct_calls << " long_calls=" << s.long_calls
-        << " inplace_calls=" << s.inplace_calls << " rejected_calls=" << s.rejected_calls
-        << " timeouts=" << s.timeouts << " eptp_misses=" << s.eptp_misses
-        << " aborted_calls=" << s.aborted_calls << " gate_rejections=" << s.gate_rejections
-        << " stale_slot_retries=" << s.stale_slot_retries
-        << " revoked_rejections=" << s.revoked_rejections
-        << " bindings_revoked=" << s.bindings_revoked
-        << " batched_calls=" << s.batched_calls << " batch_flushes=" << s.batch_flushes
-        << " batch_drain_rounds=" << s.batch_drain_rounds
+    out << "direct_calls=" << m.direct_calls->Value()
+        << " long_calls=" << m.long_calls->Value()
+        << " inplace_calls=" << m.inplace_calls->Value()
+        << " rejected_calls=" << m.rejected_calls->Value()
+        << " timeouts=" << m.timeouts->Value() << " eptp_misses=" << m.eptp_misses->Value()
+        << " aborted_calls=" << m.aborted_calls->Value()
+        << " gate_rejections=" << m.gate_rejections->Value()
+        << " stale_slot_retries=" << m.stale_slot_retries->Value()
+        << " revoked_rejections=" << m.revoked_rejections->Value()
+        << " bindings_revoked=" << m.bindings_revoked->Value()
+        << " batched_calls=" << m.batched_calls->Value()
+        << " batch_flushes=" << m.batch_flushes->Value()
+        << " batch_drain_rounds=" << m.drain_rounds->Value()
         << " rootkernel_aborts=" << kernel_->rootkernel()->aborts()
         << " kv_inserts=" << kv_->stats().inserts << " kv_queries=" << kv_->stats().queries
         << " sqlite_stale_retries=" << sqlite_stale_retries_
-        << " slot_faults=" << sky_->stats().slot_faults
+        << " slot_faults=" << m.slot_faults->Value()
         << " thrash_slot_faults=" << thrash_slot_faults_;
     for (const auto& [point, fires] : fires_) {
       out << " fires[" << point << "]=" << fires;
@@ -686,10 +686,6 @@ class StressScenario {
   ServerId fs_sid_ = 0;
   uint64_t sqlite_stale_retries_ = 0;
   uint64_t thrash_slot_faults_ = 0;
-  uint64_t lazy_exec_faults_ = 0;
-  uint64_t lazy_rewrites_ = 0;
-  uint64_t lazy_cache_hits_ = 0;
-  uint64_t lazy_cache_misses_ = 0;
 
   std::map<std::string, uint64_t> fires_;
 };
@@ -723,13 +719,27 @@ class StressFaultTest : public ::testing::Test {
     ScenarioResult result = scenario.Run();
     last_trace_ = result.trace_json;
     last_counters_ = result.counters;
+    Report(seed_, result);
     return result;
+  }
+
+  // One diffable line per scenario (TESTING.md), printed and recorded as a
+  // test property: seed, trace hash and counter fingerprint.
+  void Report(uint64_t seed, const ScenarioResult& result) {
+    const auto* trace = reinterpret_cast<const uint8_t*>(result.trace_json.data());
+    std::ostringstream line;
+    line << "seed=" << seed << " events=" << events_ << " trace_fnv1a=" << std::hex
+         << x86::HashBytes({trace, result.trace_json.size()}) << std::dec << " "
+         << result.counters;
+    RecordProperty("stress_fingerprint_" + std::to_string(reports_++), line.str());
+    std::printf("[stress fingerprint] %s\n", line.str().c_str());
   }
 
   uint64_t seed_ = 0;
   uint64_t events_ = 0;
   std::string last_trace_;
   std::string last_counters_;
+  int reports_ = 0;
 };
 
 TEST_F(StressFaultTest, SeededRunSurvivesTheWholeCatalog) {
@@ -767,6 +777,8 @@ TEST_F(StressFaultTest, DifferentSeedsTakeDifferentPaths) {
   const ScenarioResult rb = b.Run();
   last_trace_ = ra.trace_json;
   last_counters_ = ra.counters;
+  Report(seed_, ra);
+  Report(seed_ + 1, rb);
   // Not a strict requirement of the fault model, but if two seeds ever
   // produce the same trace the randomization is broken.
   EXPECT_NE(ra.trace_json, rb.trace_json);

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/base/telemetry/span.h"
@@ -408,13 +409,54 @@ TEST_F(SkyBridgeTraceTest, TracingChargesNoSimulatedCycles) {
   EXPECT_EQ(cycles_on, cycles_off);
 }
 
+// Every SkyBridge::Metrics handle must be the registry's own instance for its
+// published name: a misspelt name in the constructor would read 0 forever.
+void ExpectHandlesAreRegistryInstances(const skybridge::SkyBridge::Metrics& m, Registry& reg) {
+  static_assert(sizeof(skybridge::SkyBridge::Metrics) == 29 * sizeof(void*),
+                "list every handle below");
+  const std::pair<const Counter*, const char*> counters[] = {
+      {m.direct_calls, "skybridge.ipc.direct_calls"},
+      {m.long_calls, "skybridge.ipc.long_calls"},
+      {m.inplace_calls, "skybridge.ipc.inplace_calls"},
+      {m.inplace_replies, "skybridge.ipc.inplace_replies"},
+      {m.rejected_calls, "skybridge.ipc.rejected_calls"},
+      {m.timeouts, "skybridge.ipc.timeouts"},
+      {m.eptp_misses, "skybridge.ipc.eptp_misses"},
+      {m.rewritten_vmfuncs, "skybridge.rewrite.vmfuncs"},
+      {m.processes_rewritten, "skybridge.rewrite.processes"},
+      {m.lookup_hits, "skybridge.lookup.hits"},
+      {m.lookup_misses, "skybridge.lookup.misses"},
+      {m.scan_pages, "skybridge.rewrite.scan_pages"},
+      {m.aborted_calls, "skybridge.ipc.aborted_calls"},
+      {m.gate_rejections, "skybridge.ipc.gate_rejections"},
+      {m.stale_slot_retries, "skybridge.ipc.stale_slot_retries"},
+      {m.revoked_rejections, "skybridge.ipc.revoked_rejections"},
+      {m.bindings_revoked, "skybridge.bindings.revoked"},
+      {m.slot_faults, "skybridge.eptp.slot_faults"},
+      {m.migration_installs, "skybridge.eptp.migration_installs"},
+      {m.batched_calls, "skybridge.ipc.batched_calls"},
+      {m.batch_flushes, "skybridge.ipc.batch_flushes"},
+      {m.drain_rounds, "skybridge.ipc.drain_rounds"},
+      {m.exec_faults, "skybridge.registration.exec_faults"},
+      {m.lazy_rewrites, "skybridge.registration.lazy_rewrites"},
+      {m.cache_hits, "skybridge.registration.cache_hits"},
+      {m.cache_misses, "skybridge.registration.cache_misses"},
+      {m.pages_rescanned, "skybridge.registration.pages_rescanned"},
+  };
+  for (const auto& [handle, name] : counters) {
+    EXPECT_EQ(handle, &reg.GetCounter(name)) << name;
+  }
+  EXPECT_EQ(m.scan_threads, &reg.GetGauge("skybridge.rewrite.scan_threads"));
+  EXPECT_EQ(m.ring_depth, &reg.GetGauge("skybridge.batch.ring_depth"));
+}
+
 TEST_F(SkyBridgeTraceTest, RegistryCountsMatchStatsSnapshot) {
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(sky_->DirectServerCall(thread_, sid_, mk::Message(0)).ok());
   }
-  const skybridge::SkyBridgeStats stats = sky_->stats();
   Registry& reg = machine_->telemetry();
-  EXPECT_EQ(stats.direct_calls, 5u);
+  ExpectHandlesAreRegistryInstances(sky_->metrics(), reg);
+  EXPECT_EQ(sky_->metrics().direct_calls->Value(), 5u);
   EXPECT_EQ(reg.GetCounter("skybridge.ipc.direct_calls").Value(), 5u);
   EXPECT_EQ(reg.GetCounter("skybridge.lookup.hits").Value() +
                 reg.GetCounter("skybridge.lookup.misses").Value(),
@@ -474,19 +516,11 @@ TEST(RegistrationTelemetry, LazyFirstCallFeedsTheRegistrationCounters) {
   // The rootkernel's VM-exit dispatcher saw the violations too.
   EXPECT_GE(reg.GetCounter("vmm.exits.exec_violation").Value(), 2u);
 
-  // The stats() snapshot mirrors the registry names field for field.
-  const skybridge::SkyBridgeStats stats = sky.stats();
-  EXPECT_EQ(stats.exec_faults, reg.GetCounter("skybridge.registration.exec_faults").Value());
-  EXPECT_EQ(stats.lazy_rewrites,
-            reg.GetCounter("skybridge.registration.lazy_rewrites").Value());
-  EXPECT_EQ(stats.cache_hits, reg.GetCounter("skybridge.registration.cache_hits").Value());
-  EXPECT_EQ(stats.cache_misses,
-            reg.GetCounter("skybridge.registration.cache_misses").Value());
-  EXPECT_EQ(stats.pages_rescanned,
-            reg.GetCounter("skybridge.registration.pages_rescanned").Value());
+  // The facade's typed handles are these very registry counters.
+  ExpectHandlesAreRegistryInstances(sky.metrics(), reg);
 
   // Steady state: the fault path never fires again, the counters hold still.
-  const uint64_t faults = stats.exec_faults;
+  const uint64_t faults = sky.metrics().exec_faults->Value();
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(sky.DirectServerCall(thread, sid, mk::Message(0)).ok());
   }
