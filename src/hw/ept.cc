@@ -104,10 +104,12 @@ sb::StatusOr<Hpa> Ept::PrivatizeChild(Hpa table, int index, int level) {
     const Hpa base_target = entry & kPfnMask;
     const uint8_t perms = entry & kEptRwx;
     const uint64_t child_page = PageSizeForLevel(level - 1);
+    uint64_t split[512];
     for (uint64_t i = 0; i < 512; ++i) {
-      mem_->WriteU64(child + i * 8,
-                     MakeEntry(base_target + i * child_page, perms, level - 1 > 1));
+      split[i] = MakeEntry(base_target + i * child_page, perms, level - 1 > 1);
     }
+    mem_->Write(child, std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(split),
+                                                sizeof(split)));
     mem_->WriteU64(entry_addr, MakeEntry(child, kEptRwx, /*large=*/false));
     return child;
   }

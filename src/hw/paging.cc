@@ -1,10 +1,15 @@
 #include "src/hw/paging.h"
 
+#include <algorithm>
+#include <array>
+
 #include "src/base/logging.h"
 #include "src/base/units.h"
 
 namespace hw {
 namespace {
+
+constexpr uint64_t kEntriesPerTable = 512;
 
 int IndexAt(Gva va, int level) {
   return static_cast<int>((va >> (12 + 9 * (level - 1))) & 0x1ff);
@@ -49,35 +54,30 @@ sb::StatusOr<Gpa> AddressSpace::EnsureTable(Gpa table, int index, bool user) {
   return entry & kPteFrameMask;
 }
 
+sb::StatusOr<Gpa> AddressSpace::Descend(Gva va, int leaf_level, bool user) {
+  Gpa table = root_;
+  for (int level = 4; level > leaf_level; --level) {
+    SB_ASSIGN_OR_RETURN(table, EnsureTable(table, IndexAt(va, level), user));
+  }
+  return table;
+}
+
 sb::Status AddressSpace::Map(Gva va, Gpa pa, uint64_t page_size, const PageFlags& flags) {
-  int leaf_level;
-  switch (page_size) {
-    case sb::kPageSize:
-      leaf_level = 1;
-      break;
-    case sb::kHugePage2M:
-      leaf_level = 2;
-      break;
-    default:
-      return sb::InvalidArgument("unsupported guest page size");
+  if (page_size == sb::kPageSize) {
+    return MapRange(va, pa, page_size, flags);
+  }
+  if (page_size != sb::kHugePage2M) {
+    return sb::InvalidArgument("unsupported guest page size");
   }
   if ((va & (page_size - 1)) != 0 || (pa & (page_size - 1)) != 0) {
     return sb::InvalidArgument("guest mapping not aligned");
   }
-
-  Gpa table = root_;
-  for (int level = 4; level > leaf_level; --level) {
-    SB_ASSIGN_OR_RETURN(table, EnsureTable(table, IndexAt(va, level), flags.user));
-  }
-  const Gpa leaf_addr = table + static_cast<uint64_t>(IndexAt(va, leaf_level)) * 8;
+  SB_ASSIGN_OR_RETURN(Gpa table, Descend(va, /*leaf_level=*/2, flags.user));
+  const Gpa leaf_addr = table + static_cast<uint64_t>(IndexAt(va, 2)) * 8;
   if ((mem_->ReadU64(leaf_addr) & kPtePresent) != 0) {
     return sb::AlreadyExists("guest VA already mapped");
   }
-  uint64_t pte = (pa & kPteFrameMask) | FlagsToPte(flags);
-  if (leaf_level > 1) {
-    pte |= kPteLarge;
-  }
-  mem_->WriteU64(leaf_addr, pte);
+  mem_->WriteU64(leaf_addr, (pa & kPteFrameMask) | FlagsToPte(flags) | kPteLarge);
   return sb::OkStatus();
 }
 
@@ -93,10 +93,32 @@ sb::StatusOr<Gpa> AddressSpace::MapAnonymous(Gva va, uint64_t len, const PageFla
 
 sb::Status AddressSpace::MapRange(Gva va, Gpa pa, uint64_t len, const PageFlags& flags) {
   if (!sb::IsPageAligned(va) || !sb::IsPageAligned(pa)) {
-    return sb::InvalidArgument("MapRange requires aligned addresses");
+    return sb::InvalidArgument("guest mapping not aligned");
   }
-  for (uint64_t off = 0; off < len; off += sb::kPageSize) {
-    SB_RETURN_IF_ERROR(Map(va + off, pa + off, sb::kPageSize, flags));
+  // One descent and one read-fill-write of the PTE run per leaf table; the
+  // tables are allocated in the order a page-by-page Map would allocate them.
+  const uint64_t pte_flags = FlagsToPte(flags);
+  const uint64_t pages = sb::PageUp(len) / sb::kPageSize;
+  std::array<uint64_t, kEntriesPerTable> run;
+  for (uint64_t done = 0; done < pages;) {
+    const Gva cur = va + done * sb::kPageSize;
+    const int first = IndexAt(cur, 1);
+    const uint64_t n = std::min<uint64_t>(pages - done, kEntriesPerTable - first);
+    SB_ASSIGN_OR_RETURN(Gpa table, Descend(cur, /*leaf_level=*/1, flags.user));
+    const Gpa run_addr = table + static_cast<uint64_t>(first) * 8;
+    const std::span<uint8_t> bytes(reinterpret_cast<uint8_t*>(run.data()), n * 8);
+    mem_->Read(run_addr, bytes);
+    uint64_t filled = 0;
+    for (; filled < n && (run[filled] & kPtePresent) == 0; ++filled) {
+      run[filled] = ((pa + (done + filled) * sb::kPageSize) & kPteFrameMask) | pte_flags;
+    }
+    if (filled > 0) {
+      mem_->Write(run_addr, bytes.first(filled * 8));
+    }
+    if (filled < n) {
+      return sb::AlreadyExists("guest VA already mapped");
+    }
+    done += n;
   }
   return sb::OkStatus();
 }

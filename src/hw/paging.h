@@ -56,14 +56,19 @@ class AddressSpace {
   Gpa root_gpa() const { return root_; }
   uint16_t pcid() const { return pcid_; }
 
-  // Maps [va, va+page_size) -> [pa, ...); page_size is 4K or 2M.
+  // Maps [va, va+page_size) -> [pa, ...); page_size is 4K or 2M. A 4K page
+  // is a one-page MapRange.
   sb::Status Map(Gva va, Gpa pa, uint64_t page_size, const PageFlags& flags);
 
   // Maps a byte range with 4K pages, allocating backing frames from `frames`.
   // Returns the GPA of the first backing frame.
   sb::StatusOr<Gpa> MapAnonymous(Gva va, uint64_t len, const PageFlags& flags);
 
-  // Maps an existing physical range (e.g. a shared buffer) at `va`.
+  // Maps an existing physical range (e.g. a shared buffer) at `va` with 4K
+  // pages; a `len` that is not a page multiple rounds up. Writes each leaf
+  // table's run of PTEs at once. If a page is already mapped (or a large page
+  // is in the way), the pages before it stay mapped and AlreadyExists is
+  // returned.
   sb::Status MapRange(Gva va, Gpa pa, uint64_t len, const PageFlags& flags);
 
   sb::Status Unmap(Gva va);
@@ -82,6 +87,9 @@ class AddressSpace {
       : mem_(&mem), frames_(&frames), root_(root), pcid_(pcid) {}
 
   sb::StatusOr<Gpa> EnsureTable(Gpa table, int index, bool user);
+  // The table at `leaf_level` covering `va`, allocating missing tables on the
+  // way down from the PML4.
+  sb::StatusOr<Gpa> Descend(Gva va, int leaf_level, bool user);
 
   HostPhysMem* mem_;
   FrameAllocator* frames_;

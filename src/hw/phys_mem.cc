@@ -156,33 +156,34 @@ void HostPhysMem::Write(Hpa addr, std::span<const uint8_t> in) {
   }
 }
 
-uint64_t HostPhysMem::ReadU64(Hpa addr) const {
-  uint64_t v = 0;
-  Read(addr, std::span<uint8_t>(reinterpret_cast<uint8_t*>(&v), sizeof(v)));
+template <typename T>
+T HostPhysMem::LoadWord(Hpa addr) const {
+  T v = 0;
+  const uint64_t offset = addr & (sb::kPageSize - 1);
+  if (offset > sb::kPageSize - sizeof(T)) {  // Straddles two frames.
+    Read(addr, std::span<uint8_t>(reinterpret_cast<uint8_t*>(&v), sizeof(v)));
+  } else if (const uint8_t* frame = BackingOf(addr); frame != nullptr) {
+    std::memcpy(&v, frame + offset, sizeof(v));
+  }
   return v;
 }
 
-void HostPhysMem::WriteU64(Hpa addr, uint64_t value) {
-  Write(addr, std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(&value), sizeof(value)));
+template <typename T>
+void HostPhysMem::StoreWord(Hpa addr, T value) {
+  const uint64_t offset = addr & (sb::kPageSize - 1);
+  if (offset > sb::kPageSize - sizeof(T)) {  // Straddles two frames.
+    Write(addr, std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(&value), sizeof(value)));
+  } else {
+    std::memcpy(FrameFor(addr) + offset, &value, sizeof(value));
+  }
 }
 
-uint32_t HostPhysMem::ReadU32(Hpa addr) const {
-  uint32_t v = 0;
-  Read(addr, std::span<uint8_t>(reinterpret_cast<uint8_t*>(&v), sizeof(v)));
-  return v;
-}
-
-void HostPhysMem::WriteU32(Hpa addr, uint32_t value) {
-  Write(addr, std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(&value), sizeof(value)));
-}
-
-uint8_t HostPhysMem::ReadU8(Hpa addr) const {
-  uint8_t v = 0;
-  Read(addr, std::span<uint8_t>(&v, 1));
-  return v;
-}
-
-void HostPhysMem::WriteU8(Hpa addr, uint8_t value) { Write(addr, std::span<const uint8_t>(&value, 1)); }
+uint64_t HostPhysMem::ReadU64(Hpa addr) const { return LoadWord<uint64_t>(addr); }
+void HostPhysMem::WriteU64(Hpa addr, uint64_t value) { StoreWord(addr, value); }
+uint32_t HostPhysMem::ReadU32(Hpa addr) const { return LoadWord<uint32_t>(addr); }
+void HostPhysMem::WriteU32(Hpa addr, uint32_t value) { StoreWord(addr, value); }
+uint8_t HostPhysMem::ReadU8(Hpa addr) const { return LoadWord<uint8_t>(addr); }
+void HostPhysMem::WriteU8(Hpa addr, uint8_t value) { StoreWord(addr, value); }
 
 void HostPhysMem::ZeroFrame(Hpa frame_base) {
   SB_CHECK(sb::IsPageAligned(frame_base));

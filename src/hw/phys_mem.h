@@ -41,6 +41,9 @@ class HostPhysMem {
   void Read(Hpa addr, std::span<uint8_t> out) const;
   void Write(Hpa addr, std::span<const uint8_t> in);
 
+  // Word access. A word inside one frame is one frame lookup and a copy; one
+  // that straddles two frames takes the Read/Write path. A read never backs
+  // a frame.
   uint64_t ReadU64(Hpa addr) const;
   void WriteU64(Hpa addr, uint64_t value);
   uint32_t ReadU32(Hpa addr) const;
@@ -94,6 +97,11 @@ class HostPhysMem {
   uint8_t* BackingOf(Hpa addr) const;  // nullptr when unbacked.
 
   Leaf& LeafFor(uint64_t frame);  // Allocates the leaf on first use.
+
+  template <typename T>
+  T LoadWord(Hpa addr) const;
+  template <typename T>
+  void StoreWord(Hpa addr, T value);
 
   uint64_t size_;
   std::vector<std::atomic<Leaf*>> leaves_;  // Owned; freed by the destructor.

@@ -29,11 +29,11 @@ SkyBridge::SkyBridge(mk::Kernel& kernel, SkyBridgeConfig config)
       config_(config),
       key_rng_(kKeySeed),
       trampoline_(BuildTrampoline()),
+      rewrite_cache_(config.rewrite_cache_entries),
       routes_(kernel, config_),
       buffers_(kernel, config_),
       gate_(kernel, config_),
-      scan_pool_(config.scan_pool_threads),
-      rewrite_cache_(config.rewrite_cache_entries) {
+      scan_pool_(config.scan_pool_threads) {
   SB_CHECK(kernel.rootkernel() != nullptr)
       << "SkyBridge requires a kernel booted with the Rootkernel";
   SB_CHECK(config_.eptp_capacity >= 2 && config_.eptp_capacity <= hw::kEptpListCapacity);

@@ -38,7 +38,8 @@
 
 namespace x86 {
 
-// FNV-1a, 64-bit.
+// A 64-bit hash, word at a time with the length folded in. Its values are
+// internal keys (`content_hash`, `pristine_hash`), never printed or stored.
 uint64_t HashBytes(std::span<const uint8_t> bytes);
 
 // Hash of code page `page_index` of `image` plus up to 64 bytes of context

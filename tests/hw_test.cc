@@ -43,6 +43,32 @@ TEST(HostPhysMem, CrossFrameAccess) {
   EXPECT_EQ(out, data);
 }
 
+// A word inside one frame is read and written in place; one that straddles
+// two frames (offset 4092) goes through Read/Write. A read never backs a frame.
+TEST(HostPhysMem, WordAccessAtFrameEdges) {
+  HostPhysMem mem(16 * kMiB);
+  const Hpa frame = 0x3000;
+  EXPECT_EQ(mem.ReadU64(frame), 0u);
+  EXPECT_EQ(mem.ReadU64(frame + 4088), 0u);
+  EXPECT_EQ(mem.ReadU64(frame + 4092), 0u);
+  EXPECT_EQ(mem.resident_frames(), 0u);
+
+  mem.WriteU64(frame, 0x0102030405060708ULL);
+  mem.WriteU64(frame + 4088, 0x1112131415161718ULL);
+  EXPECT_EQ(mem.resident_frames(), 1u);
+  EXPECT_EQ(mem.ReadU64(frame), 0x0102030405060708ULL);
+  EXPECT_EQ(mem.ReadU64(frame + 4088), 0x1112131415161718ULL);
+  EXPECT_EQ(mem.ReadU64(frame + kPageSize), 0u);
+  EXPECT_EQ(mem.resident_frames(), 1u);
+
+  // Low half into this frame's last four bytes, high half into the next.
+  mem.WriteU64(frame + 4092, 0x2122232425262728ULL);
+  EXPECT_EQ(mem.resident_frames(), 2u);
+  EXPECT_EQ(mem.ReadU64(frame + 4092), 0x2122232425262728ULL);
+  EXPECT_EQ(mem.ReadU64(frame + 4088), 0x2526272815161718ULL);
+  EXPECT_EQ(mem.ReadU32(frame + kPageSize), 0x21222324u);
+}
+
 TEST(FrameAllocator, AllocatesDistinctZeroedFrames) {
   HostPhysMem mem(16 * kMiB);
   FrameAllocator alloc(0x100000, 1 * kMiB);
@@ -214,6 +240,34 @@ TEST_F(EptTest, RemapGpaPageSplitsHugePagesAndIsolates) {
   EXPECT_EQ((*derived)->private_table_pages(), 4u);
 }
 
+// The split writes every entry of the new table: the 1G leaf becomes 512 2M
+// leaves, and the 2M leaf holding the page becomes 512 4K leaves.
+TEST_F(EptTest, RemapGpaPageSplitWritesEveryEntry) {
+  constexpr uint64_t kFrameMask = 0x000ffffffffff000ULL;
+  constexpr uint64_t kLarge = 1ULL << 7;
+  auto base = Ept::Create(mem_, frames_);
+  ASSERT_TRUE(base.ok());
+  ASSERT_TRUE((*base)->Map(0, 0, sb::kHugePage1G, kEptRwx).ok());
+  auto derived = (*base)->ShallowCopy();
+  ASSERT_TRUE(derived.ok());
+  ASSERT_TRUE((*derived)->RemapGpaPage(0x123000, 0x9000000).ok());
+
+  const Hpa pdpt = mem_.ReadU64((*derived)->root()) & kFrameMask;
+  const uint64_t pdpte = mem_.ReadU64(pdpt);
+  ASSERT_EQ(pdpte & ~kFrameMask, kEptRwx);
+  const Hpa pd = pdpte & kFrameMask;
+  const uint64_t pde = mem_.ReadU64(pd);
+  ASSERT_EQ(pde & ~kFrameMask, kEptRwx);
+  const Hpa pt = pde & kFrameMask;
+  for (uint64_t i = 1; i < 512; ++i) {
+    EXPECT_EQ(mem_.ReadU64(pd + i * 8), (i * sb::kHugePage2M) | kLarge | kEptRwx) << i;
+  }
+  for (uint64_t i = 0; i < 512; ++i) {
+    const uint64_t target = i == 0x123 ? 0x9000000 : i * kPageSize;
+    EXPECT_EQ(mem_.ReadU64(pt + i * 8), target | kEptRwx) << i;
+  }
+}
+
 TEST_F(EptTest, UnmapGpaPageFaults) {
   auto ept = Ept::Create(mem_, frames_);
   ASSERT_TRUE(ept.ok());
@@ -272,6 +326,128 @@ TEST_F(PagingTest, ShareUpperHalf) {
   const GuestWalk walk = (*proc)->WalkVa(kva);
   ASSERT_TRUE(walk.ok);
   EXPECT_EQ(walk.gpa, 0x800000u);
+}
+
+// ---- MapRange: one read-fill-write per leaf table ----
+
+// Two identical machines: MapRange runs on one, one 4K Map per page on the
+// other. Each case checks that both end with the same frames allocated and
+// backed and the same table bytes in every one of them.
+class MapRangeTest : public ::testing::Test {
+ protected:
+  static constexpr Gpa kTarget = 0x20000000;
+  static constexpr PageFlags kFlags{/*writable=*/false, /*user=*/true, /*global=*/false,
+                                    /*executable=*/false};
+
+  MapRangeTest()
+      : bulk_mem_(1 * kGiB),
+        ref_mem_(1 * kGiB),
+        bulk_frames_(64 * kMiB, 64 * kMiB),
+        ref_frames_(64 * kMiB, 64 * kMiB) {}
+
+  void SetUp() override {
+    bulk_ = AddressSpace::Create(bulk_mem_, bulk_frames_, 1).value();
+    ref_ = AddressSpace::Create(ref_mem_, ref_frames_, 1).value();
+  }
+
+  // Maps `len` bytes at `va` to kTarget on both machines; returns MapRange's
+  // status after checking it against the page-by-page one.
+  sb::Status MapBoth(Gva va, uint64_t len) {
+    const sb::Status bulk = bulk_->MapRange(va, kTarget, len, kFlags);
+    sb::Status ref;
+    for (uint64_t off = 0; off < len && ref.ok(); off += kPageSize) {
+      ref = ref_->Map(va + off, kTarget + off, kPageSize, kFlags);
+    }
+    EXPECT_EQ(bulk.code(), ref.code());
+    ExpectTwins();
+    return bulk;
+  }
+
+  // The same mapping on both machines.
+  void MapOnBoth(Gva va, Gpa pa, uint64_t page_size) {
+    ASSERT_TRUE(bulk_->Map(va, pa, page_size, kFlags).ok());
+    ASSERT_TRUE(ref_->Map(va, pa, page_size, kFlags).ok());
+  }
+
+  void ExpectTwins() {
+    ASSERT_EQ(bulk_frames_.allocated_frames(), ref_frames_.allocated_frames());
+    EXPECT_EQ(bulk_mem_.resident_frames(), ref_mem_.resident_frames());
+    std::vector<uint8_t> bulk_table(kPageSize);
+    std::vector<uint8_t> ref_table(kPageSize);
+    for (uint64_t i = 0; i < bulk_frames_.allocated_frames(); ++i) {
+      const Hpa frame = bulk_frames_.base() + i * kPageSize;
+      bulk_mem_.Read(frame, bulk_table);
+      ref_mem_.Read(frame, ref_table);
+      EXPECT_EQ(bulk_table, ref_table) << "table frame " << i;
+    }
+  }
+
+  // Pages [first, first + count) of the range at `va` map to kTarget.
+  void ExpectMapped(Gva va, uint64_t first, uint64_t count) {
+    for (uint64_t i = first; i < first + count; ++i) {
+      const GuestWalk walk = bulk_->WalkVa(va + i * kPageSize);
+      ASSERT_TRUE(walk.ok) << "page " << i;
+      EXPECT_EQ(walk.gpa, kTarget + i * kPageSize) << "page " << i;
+      EXPECT_EQ(walk.page_shift, 12) << "page " << i;
+    }
+  }
+
+  HostPhysMem bulk_mem_;
+  HostPhysMem ref_mem_;
+  FrameAllocator bulk_frames_;
+  FrameAllocator ref_frames_;
+  std::unique_ptr<AddressSpace> bulk_;
+  std::unique_ptr<AddressSpace> ref_;
+};
+
+TEST_F(MapRangeTest, StartsMidTableAndSpansThreeLeafTables) {
+  const Gva va = 0x400000 + 37 * kPageSize;
+  ASSERT_TRUE(MapBoth(va, 1100 * kPageSize).ok());
+  ExpectMapped(va, 0, 1100);
+  EXPECT_FALSE(bulk_->WalkVa(va + 1100 * kPageSize).ok);
+  EXPECT_FALSE(bulk_->WalkVa(va - kPageSize).ok);
+}
+
+TEST_F(MapRangeTest, Crosses2MiB1GiBAnd512GiBBoundaries) {
+  const Gva boundaries[] = {sb::kHugePage2M, sb::kHugePage1G, 512 * sb::kHugePage1G};
+  for (const Gva boundary : boundaries) {
+    const Gva va = boundary - 3 * kPageSize;
+    ASSERT_TRUE(MapBoth(va, 10 * kPageSize).ok()) << boundary;
+    ExpectMapped(va, 0, 10);
+  }
+}
+
+TEST_F(MapRangeTest, LengthRoundsUpToWholePages) {
+  const Gva va = 0x800000;
+  ASSERT_TRUE(MapBoth(va, 5 * kPageSize + 123).ok());
+  ExpectMapped(va, 0, 6);
+  EXPECT_FALSE(bulk_->WalkVa(va + 6 * kPageSize).ok);
+}
+
+TEST_F(MapRangeTest, PremappedPageStopsTheRunAfterThePrefix) {
+  const Gva va = 0x1000000 + 500 * kPageSize;  // Pages 12.. lie in the next table.
+  MapOnBoth(va + 7 * kPageSize, 0x30000000, kPageSize);
+  EXPECT_EQ(MapBoth(va, 16 * kPageSize).code(), sb::ErrorCode::kAlreadyExists);
+  ExpectMapped(va, 0, 7);
+  EXPECT_EQ(bulk_->WalkVa(va + 7 * kPageSize).gpa, 0x30000000u);  // Left alone.
+  for (uint64_t i = 8; i < 16; ++i) {
+    EXPECT_FALSE(bulk_->WalkVa(va + i * kPageSize).ok) << "page " << i;
+  }
+  // A taken first page writes nothing.
+  EXPECT_EQ(MapBoth(va + 7 * kPageSize, 2 * kPageSize).code(), sb::ErrorCode::kAlreadyExists);
+  EXPECT_FALSE(bulk_->WalkVa(va + 8 * kPageSize).ok);
+}
+
+TEST_F(MapRangeTest, LargePageInTheWayStopsTheRun) {
+  const Gva large = 3 * sb::kHugePage2M;
+  MapOnBoth(large, 0x30000000, sb::kHugePage2M);
+  const Gva va = large - 4 * kPageSize;
+  EXPECT_EQ(MapBoth(va, 8 * kPageSize).code(), sb::ErrorCode::kAlreadyExists);
+  ExpectMapped(va, 0, 4);
+  const GuestWalk walk = bulk_->WalkVa(large + kPageSize);
+  ASSERT_TRUE(walk.ok);
+  EXPECT_EQ(walk.page_shift, 21);
+  EXPECT_EQ(walk.gpa, 0x30000000u + kPageSize);
 }
 
 // ---- The core SkyBridge mechanism, end to end on the hardware model ----

@@ -223,6 +223,7 @@ TEST_F(RegistrationPipelineTest, SweepEntryIsPartOfTheCacheKey) {
   std::vector<uint8_t> b = a;
   b[2999] = 0xb8;
   ASSERT_EQ(x86::HashCodePage(a, 1), x86::HashCodePage(b, 1));
+  ASSERT_NE(x86::HashCodePage(a, 0), x86::HashCodePage(b, 0));  // Byte 2999 differs.
 
   // What B's rewrite must be: B registered with the rewrite cache disabled.
   SkyBridgeConfig nocache = EagerConfig();

@@ -38,7 +38,6 @@
 #include "src/sim/executor.h"
 #include "src/skybridge/skybridge.h"
 #include "src/vmm/rootkernel.h"
-#include "src/x86/rewrite_cache.h"
 
 namespace skybridge {
 namespace {
@@ -54,6 +53,16 @@ uint64_t EnvOrDefault(const char* name, uint64_t fallback) {
     return fallback;
   }
   return std::strtoull(value, nullptr, 0);
+}
+
+// FNV-1a 64, byte at a time: the fingerprint's trace hash (TESTING.md).
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
 }
 
 // Every outcome a fault-armed call may legally produce. Anything else —
@@ -726,10 +735,9 @@ class StressFaultTest : public ::testing::Test {
   // One diffable line per scenario (TESTING.md), printed and recorded as a
   // test property: seed, trace hash and counter fingerprint.
   void Report(uint64_t seed, const ScenarioResult& result) {
-    const auto* trace = reinterpret_cast<const uint8_t*>(result.trace_json.data());
     std::ostringstream line;
     line << "seed=" << seed << " events=" << events_ << " trace_fnv1a=" << std::hex
-         << x86::HashBytes({trace, result.trace_json.size()}) << std::dec << " "
+         << Fnv1a64(result.trace_json) << std::dec << " "
          << result.counters;
     RecordProperty("stress_fingerprint_" + std::to_string(reports_++), line.str());
     std::printf("[stress fingerprint] %s\n", line.str().c_str());

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "src/base/rng.h"
 #include "src/x86/assembler.h"
 #include "src/x86/decoder.h"
 #include "src/x86/emulator.h"
+#include "src/x86/rewrite_cache.h"
 #include "src/x86/scanner.h"
 
 namespace x86 {
@@ -374,6 +377,33 @@ TEST(Rewriter, MultipleOccurrences) {
   EXPECT_TRUE(FindVmfuncBytes(result->rewrite_page).empty());
   EXPECT_EQ(result->stats.nop_replaced, 1);
   EXPECT_GE(result->stats.windows_relocated, 3);
+}
+
+// ---- The rewrite cache's key hash ----
+
+// HashBytes keys the rewrite cache and the scan memo: a one-byte change at
+// any offset of a page plus its 64-byte context on each side hashes apart,
+// and so does every length through the sub-word tail, even of zero bytes.
+TEST(HashBytes, OneByteChangesAndShortLengthsHashApart) {
+  std::vector<uint8_t> page(4096 + 2 * 64);
+  sb::Rng rng(0x5eed);
+  for (uint8_t& b : page) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  std::set<uint64_t> seen = {HashBytes(page)};
+  for (size_t i = 0; i < page.size(); ++i) {
+    page[i] ^= 0x01;
+    EXPECT_TRUE(seen.insert(HashBytes(page)).second) << "offset " << i;
+    page[i] ^= 0x01;
+  }
+  const std::vector<uint8_t> zeros(24, 0);
+  std::set<uint64_t> by_length;
+  for (size_t len = 0; len <= 24; ++len) {
+    EXPECT_TRUE(by_length.insert(HashBytes({zeros.data(), len})).second) << "length " << len;
+    if (len > 0) {  // Both are the empty input at length 0.
+      EXPECT_TRUE(by_length.insert(HashBytes({page.data(), len})).second) << "length " << len;
+    }
+  }
 }
 
 // ---- Randomized equivalence sweep ----
