@@ -1,5 +1,6 @@
 // Google-benchmark microbenchmarks over the simulator's hot paths: the
-// VMFUNC gate, the charged 2-D translation, and the SkyBridge roundtrip.
+// VMFUNC gate, the charged 2-D translation, the SkyBridge roundtrip, and the
+// per-layer primitives under them (cache access, TLB lookup, metric writes).
 // These measure *host* time per simulated operation (throughput of the
 // simulator itself), complementing the cycle-accurate benches.
 
@@ -14,11 +15,14 @@
 
 #include "src/apps/corpus.h"
 #include "src/base/rng.h"
+#include "src/base/telemetry/metrics.h"
 #include "src/base/telemetry/trace.h"
 #include "src/base/thread_pool.h"
 #include "src/base/units.h"
+#include "src/hw/cache.h"
 #include "src/hw/machine.h"
 #include "src/hw/paging.h"
+#include "src/hw/tlb.h"
 #include "src/mk/kernel.h"
 #include "src/skybridge/skybridge.h"
 #include "src/vmm/rootkernel.h"
@@ -231,6 +235,89 @@ void BM_VmfuncScanParallel(benchmark::State& state) {
   state.counters["threads"] = static_cast<double>(pool.num_threads() + 1);
 }
 BENCHMARK(BM_VmfuncScanParallel);
+
+// ---- Per-layer primitives: one hw model or telemetry operation each ----
+
+// One L1d access from a fixed address stream over 4x the cache's footprint,
+// so hits and misses (with LRU victim selection) both occur.
+void BM_CacheAccess(benchmark::State& state) {
+  hw::Cache cache(hw::L1dConfig());
+  sb::Rng rng(0xcac4e);
+  std::vector<hw::Hpa> addrs(4096);
+  for (hw::Hpa& a : addrs) {
+    a = rng.Below(4 * hw::L1dConfig().size_bytes);
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.Access(addrs[i]));
+    i = (i + 1) & (addrs.size() - 1);
+  }
+}
+BENCHMARK(BM_CacheAccess);
+
+// A full-size dTLB holding 4K, 2M and 1G entries, some global, so a miss
+// walks every probe Lookup can make.
+struct TlbFixture {
+  static constexpr uint64_t kPages4K = 1500;
+  TlbFixture() : tlb(1536) {
+    for (uint64_t i = 0; i < kPages4K; ++i) {
+      tlb.Insert(i << 12, 12, 1, 1, 0, hw::TlbEntry{i << 12, i % 8 == 0, true});
+    }
+    for (uint64_t i = 0; i < 24; ++i) {
+      tlb.Insert((uint64_t{1} << 32) + (i << 21), 21, 1, 1, 0,
+                 hw::TlbEntry{i << 21, i % 2 == 0, true});
+    }
+    for (uint64_t i = 0; i < 12; ++i) {
+      tlb.Insert((uint64_t{1} << 40) + (i << 30), 30, 1, 1, 0,
+                 hw::TlbEntry{i << 30, i % 2 == 0, true});
+    }
+  }
+  hw::Tlb tlb;
+};
+
+void BM_TlbLookupHit(benchmark::State& state) {
+  TlbFixture fixture;
+  uint8_t shift = 0;
+  uint64_t page = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fixture.tlb.Lookup(page << 12, 1, 1, 0, &shift));
+    page = page + 1 == TlbFixture::kPages4K ? 0 : page + 1;
+  }
+}
+BENCHMARK(BM_TlbLookupHit);
+
+void BM_TlbLookupMiss(benchmark::State& state) {
+  TlbFixture fixture;
+  uint8_t shift = 0;
+  uint64_t page = 0;
+  for (auto _ : state) {
+    // Above every 4K entry, below the 2M and 1G regions: all probes miss.
+    benchmark::DoNotOptimize(
+        fixture.tlb.Lookup((TlbFixture::kPages4K + page) << 12, 1, 1, 0, &shift));
+    page = (page + 1) & 1023;
+  }
+}
+BENCHMARK(BM_TlbLookupMiss);
+
+void BM_CounterAdd(benchmark::State& state) {
+  sb::telemetry::Counter counter("bench.counter");
+  for (auto _ : state) {
+    counter.Add();
+  }
+  benchmark::DoNotOptimize(counter.Value());
+}
+BENCHMARK(BM_CounterAdd);
+
+void BM_HistogramRecord(benchmark::State& state) {
+  sb::telemetry::LatencyHistogram histogram("bench.histogram");
+  uint64_t v = 0;
+  for (auto _ : state) {
+    histogram.Record(v);
+    v = (v + 397) & 0xffff;  // Spread over the linear and log-linear buckets.
+  }
+  benchmark::DoNotOptimize(histogram.Count());
+}
+BENCHMARK(BM_HistogramRecord);
 
 // Records every finished run so the custom main below can emit the shared
 // --json format next to google-benchmark's own console output.

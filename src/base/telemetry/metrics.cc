@@ -5,6 +5,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "src/base/logging.h"
+
 namespace sb::telemetry {
 namespace {
 
@@ -50,13 +52,44 @@ void AppendJsonNumber(std::ostringstream& out, double v) {
 
 }  // namespace
 
+namespace internal {
+namespace {
+
+// Bit i set = shard i is leased to a live thread.
+std::atomic<uint32_t> g_leased_shards{0};
+static_assert(kMetricShards <= 32, "the lease mask is 32 bits wide");
+constexpr uint32_t kAllShards = static_cast<uint32_t>((uint64_t{1} << kMetricShards) - 1);
+
+}  // namespace
+
+size_t AcquireShard() {
+  uint32_t leased = g_leased_shards.load(std::memory_order_relaxed);
+  for (;;) {
+    const uint32_t free = ~leased & kAllShards;
+    SB_CHECK(free != 0) << "more than kMetricShards (" << kMetricShards
+                        << ") host threads write metrics at once";
+    const uint32_t bit = free & (~free + 1);
+    // Acquire pairs with the previous holder's release, so its last writes to
+    // the shard happen before ours.
+    if (g_leased_shards.compare_exchange_weak(leased, leased | bit, std::memory_order_acquire,
+                                              std::memory_order_relaxed)) {
+      return static_cast<size_t>(std::countr_zero(bit));
+    }
+  }
+}
+
+void ReleaseShard(size_t index) {
+  g_leased_shards.fetch_and(~(uint32_t{1} << index), std::memory_order_release);
+}
+
+}  // namespace internal
+
 void LatencyHistogram::Record(uint64_t v) {
   Shard& s = shards_[ThreadShardIndex()];
-  const size_t bucket = BucketIndex(v);
-  s.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
-  s.sum.fetch_add(v, std::memory_order_relaxed);
-  uint64_t cur = s.max.load(std::memory_order_relaxed);
-  while (v > cur && !s.max.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+  internal::ShardAdd(s.buckets[BucketIndex(v)], 1);
+  internal::ShardAdd(s.sum, v);
+  if (v > s.max.load(std::memory_order_relaxed)) {
+    s.max.store(v, std::memory_order_relaxed);
   }
 }
 

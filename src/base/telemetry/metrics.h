@@ -1,9 +1,11 @@
 // Process-wide metrics registry: named counters, gauges and log-bucketed
 // latency histograms.
 //
-// The hot path (Counter::Add, LatencyHistogram::Record) is lock-free: each
-// metric keeps a small array of cache-line-padded shards and a thread writes
-// only the shard its (cached) thread hash selects, with relaxed atomics.
+// The hot path (Counter::Add, LatencyHistogram::Record) is lock-free and
+// RMW-free: each metric keeps a small array of cache-line-padded shards, and
+// every live host thread that writes metrics leases one shard index for its
+// lifetime (released when the thread exits, then reused). A shard therefore
+// has one writer at a time, which updates it with a relaxed load and store.
 // Readers fold the shards at snapshot time; a snapshot is therefore a
 // consistent-enough view for reporting, never a linearization point.
 //
@@ -27,20 +29,38 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 namespace sb::telemetry {
 
-// Shard count for the per-thread striping. Threads hash onto shards, so two
-// threads may share one — still race-free (atomics), just contended.
+// Shard count: the most host threads that may write metrics at once. One
+// thread more is a fatal SB_CHECK, never a silently shared shard.
 inline constexpr size_t kMetricShards = 16;
 
-// Stable per-thread shard slot (hash of the thread id, cached thread-local).
+namespace internal {
+// Leases the lowest free shard index; SB_CHECK-fails when all are leased.
+size_t AcquireShard();
+void ReleaseShard(size_t index);
+
+struct ShardLease {
+  ShardLease() : index(AcquireShard()) {}
+  ~ShardLease() { ReleaseShard(index); }
+  ShardLease(const ShardLease&) = delete;
+  ShardLease& operator=(const ShardLease&) = delete;
+  const size_t index;
+};
+
+// Single-writer update of a shard cell: a relaxed load and store, no RMW.
+inline void ShardAdd(std::atomic<uint64_t>& cell, uint64_t delta) {
+  cell.store(cell.load(std::memory_order_relaxed) + delta, std::memory_order_relaxed);
+}
+}  // namespace internal
+
+// The calling thread's shard, leased on its first metric write and held
+// until the thread exits.
 inline size_t ThreadShardIndex() {
-  thread_local const size_t idx =
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) % kMetricShards;
-  return idx;
+  thread_local const internal::ShardLease lease;
+  return lease.index;
 }
 
 // Monotonically increasing count.
@@ -52,9 +72,7 @@ class Counter {
 
   const std::string& name() const { return name_; }
 
-  void Add(uint64_t delta = 1) {
-    shards_[ThreadShardIndex()].v.fetch_add(delta, std::memory_order_relaxed);
-  }
+  void Add(uint64_t delta = 1) { internal::ShardAdd(shards_[ThreadShardIndex()].v, delta); }
 
   uint64_t Value() const {
     uint64_t sum = 0;

@@ -50,6 +50,7 @@ class Pager {
   struct Entry {
     std::vector<uint8_t> data;
     bool dirty = false;
+    std::list<uint32_t>::iterator lru_pos;  // This page's node in lru_.
   };
 
   sb::Status EvictIfNeeded();

@@ -96,9 +96,10 @@ mk::Message EncodeBlockRead(uint32_t block) {
 mk::Message EncodeBlockWrite(uint32_t block, std::span<const uint8_t> data) {
   SB_CHECK(data.size() == kBlockSize);
   mk::Message msg(kBlockWrite);
-  msg.data.resize(4 + kBlockSize);
-  std::memcpy(msg.data.data(), &block, 4);
-  std::memcpy(msg.data.data() + 4, data.data(), kBlockSize);
+  const auto* block_bytes = reinterpret_cast<const uint8_t*>(&block);
+  msg.data.reserve(4 + kBlockSize);
+  msg.data.insert(msg.data.end(), block_bytes, block_bytes + 4);
+  msg.data.insert(msg.data.end(), data.begin(), data.end());
   return msg;
 }
 

@@ -45,8 +45,7 @@ sb::StatusOr<Xv6Fs::Buf*> Xv6Fs::GetBlock(uint32_t block) {
   auto it = cache_.find(block);
   if (it != cache_.end()) {
     ++stats_.cache_hits;
-    cache_lru_.remove(block);
-    cache_lru_.push_front(block);
+    cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second.lru_pos);
     ChargeCacheTouch(block, false);
     return &it->second;
   }
@@ -56,9 +55,10 @@ sb::StatusOr<Xv6Fs::Buf*> Xv6Fs::GetBlock(uint32_t block) {
   SB_RETURN_IF_ERROR(TransportReadBlock(transport_, block, buf.data));
   ++stats_.block_reads;
   ChargeCacheTouch(block, true);
+  cache_lru_.push_front(block);
+  buf.lru_pos = cache_lru_.begin();
   auto [pos, inserted] = cache_.emplace(block, std::move(buf));
   SB_CHECK(inserted);
-  cache_lru_.push_front(block);
   return &pos->second;
 }
 
@@ -98,8 +98,8 @@ sb::Status Xv6Fs::EvictIfNeeded() {
     auto it = cache_.find(victim);
     SB_CHECK(it != cache_.end());
     SB_RETURN_IF_ERROR(FlushBlock(victim, it->second));
+    cache_lru_.erase(it->second.lru_pos);
     cache_.erase(it);
-    cache_lru_.remove(victim);
   }
   return sb::OkStatus();
 }

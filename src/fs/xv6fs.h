@@ -129,6 +129,7 @@ class Xv6Fs {
   struct Buf {
     std::vector<uint8_t> data;
     bool dirty = false;
+    std::list<uint32_t>::iterator lru_pos;  // This block's node in cache_lru_.
   };
 
   // ---- Buffer cache ----

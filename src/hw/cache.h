@@ -33,7 +33,7 @@ class Cache {
   explicit Cache(const CacheConfig& config);
 
   // Returns true on hit. On miss the line is filled (evicting LRU).
-  bool Access(Hpa paddr, bool is_write);
+  bool Access(Hpa paddr);
 
   // True if the line is currently resident (no state change).
   bool Probe(Hpa paddr) const;
@@ -48,19 +48,20 @@ class Cache {
   const CacheConfig& config() const { return config_; }
 
  private:
-  struct Line {
-    bool valid = false;
-    bool dirty = false;
-    uint64_t tag = 0;
-    uint64_t lru = 0;  // Higher = more recently used.
-  };
-
-  uint64_t SetIndex(Hpa paddr) const { return (paddr / config_.line_size) & (num_sets_ - 1); }
-  uint64_t Tag(Hpa paddr) const { return paddr / config_.line_size / num_sets_; }
+  // Struct-of-arrays line state, num_sets_ * ways entries, row-major by set.
+  // tags_ holds tag + 1, so 0 marks an invalid way; lru_ holds the access tick
+  // of the way's last use (higher = more recent) and is 0 exactly when the way
+  // is invalid. Ticks are unique, so the oldest valid way is unambiguous.
+  uint64_t LineNumber(Hpa paddr) const { return paddr >> line_shift_; }
+  uint64_t SetIndex(uint64_t line) const { return line & set_mask_; }
+  uint64_t TagPlusOne(uint64_t line) const { return (line >> set_shift_) + 1; }
 
   CacheConfig config_;
-  uint64_t num_sets_;
-  std::vector<Line> lines_;  // num_sets_ * ways, row-major by set.
+  uint32_t line_shift_;
+  uint32_t set_shift_;
+  uint64_t set_mask_;
+  std::vector<uint64_t> tags_;
+  std::vector<uint64_t> lru_;
   uint64_t tick_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;

@@ -10,10 +10,10 @@
 #ifndef SRC_HW_TLB_H_
 #define SRC_HW_TLB_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "src/hw/addr.h"
 
@@ -45,7 +45,12 @@ struct TlbEntry {
   bool writable = true;
 };
 
-// LRU-replaced translation cache of fixed capacity.
+// Fully-associative, LRU-replaced translation cache of fixed capacity.
+//
+// Storage is preallocated: `capacity` nodes on an index-linked LRU list, and
+// an open-addressed (linear probing, backward-shift delete) index from key to
+// node. Per-page-size counts of live and of global entries let Lookup skip
+// probes that cannot hit. Nothing allocates after construction.
 class Tlb {
  public:
   explicit Tlb(size_t capacity);
@@ -65,21 +70,43 @@ class Tlb {
 
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
-  size_t size() const { return map_.size(); }
+  size_t size() const { return size_; }
   size_t capacity() const { return capacity_; }
 
  private:
+  static constexpr uint32_t kNil = ~uint32_t{0};
+  // Page-size classes: 4K, 2M, 1G, and any other shift (stored, never probed).
+  static constexpr int kSizeClasses = 4;
+
   struct Node {
     TlbKey key;
     TlbEntry entry;
+    uint32_t prev = kNil;  // Toward the most recently used end.
+    uint32_t next = kNil;  // Toward the least recently used end; free-list link.
+    uint32_t home = 0;     // Index slot the key hashes to.
   };
-  using LruList = std::list<Node>;
 
-  void Touch(LruList::iterator it);
+  static int SizeClass(uint8_t page_shift);
+  uint32_t Find(const TlbKey& key) const;
+  const TlbEntry* Hit(uint32_t n, uint8_t shift, uint8_t* page_shift);
+  void Unlink(uint32_t n);
+  void PushFront(uint32_t n);
+  void Touch(uint32_t n);  // Moves n to the most recently used end.
+  void Remove(uint32_t n);
+  void IndexErase(uint32_t n);
+  template <typename Pred>
+  void RemoveIf(Pred pred);
 
   size_t capacity_;
-  LruList lru_;  // Front = most recently used.
-  std::unordered_map<TlbKey, LruList::iterator, TlbKeyHash> map_;
+  std::vector<Node> nodes_;
+  std::vector<uint32_t> index_;  // Node + 1 per slot; 0 = empty.
+  size_t index_mask_;
+  uint32_t head_ = kNil;  // Most recently used.
+  uint32_t tail_ = kNil;  // Least recently used: the next victim.
+  uint32_t free_ = kNil;
+  size_t size_ = 0;
+  std::array<uint32_t, kSizeClasses> live_{};
+  std::array<uint32_t, kSizeClasses> global_{};
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
 };

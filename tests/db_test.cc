@@ -169,6 +169,51 @@ TEST(Pager, EvictionWritesDirtyPages) {
   }
 }
 
+// The victim is the least recently *used* page, not the oldest loaded one,
+// and a dirty victim is written back before its slot is reused.
+TEST(Pager, EvictsLeastRecentlyUsedPageAndWritesBackIfDirty) {
+  DirectFs env;
+  auto inum = env.client.Create("/lru.db");
+  ASSERT_TRUE(inum.ok());
+  {
+    Pager writer(&env.client, *inum, 16);
+    ASSERT_TRUE(writer.Open().ok());
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(writer.AllocatePage().ok());
+    }
+    ASSERT_TRUE(writer.Flush().ok());
+  }
+  Pager pager(&env.client, *inum, 3);
+  ASSERT_TRUE(pager.Open().ok());
+  ASSERT_EQ(pager.num_pages(), 5u);
+  for (uint32_t pgno : {1u, 2u, 3u}) {
+    ASSERT_TRUE(pager.GetPage(pgno).ok());
+  }
+  auto page2 = pager.GetPage(2);
+  ASSERT_TRUE(page2.ok());
+  (**page2)[0] = 0x5a;
+  pager.MarkDirty(2);
+  ASSERT_TRUE(pager.GetPage(3).ok());
+  ASSERT_TRUE(pager.GetPage(1).ok());  // LRU order now 1, 3, 2: page 2 is the victim.
+
+  const uint64_t rpcs = env.client.rpcs();
+  const uint64_t faults = pager.page_faults();
+  ASSERT_TRUE(pager.GetPage(4).ok());
+  EXPECT_EQ(env.client.rpcs(), rpcs + 2);  // Write-back of page 2, then the read of 4.
+  EXPECT_EQ(pager.page_faults(), faults + 1);
+  auto on_disk = env.client.Read(*inum, 2 * kDbPageSize, kDbPageSize);
+  ASSERT_TRUE(on_disk.ok());
+  EXPECT_EQ((*on_disk)[0], 0x5a);
+
+  // Pages 1 and 3 survived; page 2 must be fetched again.
+  const uint64_t rpcs_after = env.client.rpcs();
+  ASSERT_TRUE(pager.GetPage(1).ok());
+  ASSERT_TRUE(pager.GetPage(3).ok());
+  EXPECT_EQ(env.client.rpcs(), rpcs_after);
+  ASSERT_TRUE(pager.GetPage(2).ok());
+  EXPECT_EQ(pager.page_faults(), faults + 2);
+}
+
 class BTreeTest : public ::testing::Test {
  protected:
   BTreeTest() {
@@ -375,6 +420,34 @@ TEST(Database, QueryUsesRowCache) {
   }
   EXPECT_EQ(env.client.rpcs(), rpcs);
   EXPECT_GE((*db)->stats().row_cache_hits, 10u);
+}
+
+// A put into a full row cache evicts the LRU row first, even when the key
+// being put is already cached: the cache ends one row short of full.
+TEST(Database, RowCachePutOnFullCacheEvictsBeforeInsert) {
+  DirectFs env;
+  Database::Config config;
+  config.row_cache_entries = 2;
+  auto db = Database::Open(&env.client, "/rc.db", config);
+  ASSERT_TRUE(db.ok());
+  auto table = (*db)->CreateTable("t");
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE((*table)->Insert(1, Value("one")).ok());
+  ASSERT_TRUE((*table)->Insert(2, Value("two")).ok());  // Cache {1, 2}, 1 is LRU.
+  ASSERT_TRUE((*table)->Update(2, Value("TWO")).ok());  // Evicts 1, then rewrites 2.
+
+  const uint64_t hits = (*db)->stats().row_cache_hits;
+  auto two = (*table)->Query(2);
+  ASSERT_TRUE(two.ok());
+  EXPECT_EQ(std::string(two->begin(), two->end()), "TWO");
+  EXPECT_EQ((*db)->stats().row_cache_hits, hits + 1);
+  auto one = (*table)->Query(1);  // Miss: 1 was evicted; refills without evicting 2.
+  ASSERT_TRUE(one.ok());
+  EXPECT_EQ(std::string(one->begin(), one->end()), "one");
+  EXPECT_EQ((*db)->stats().row_cache_hits, hits + 1);
+  ASSERT_TRUE((*table)->Query(2).ok());
+  ASSERT_TRUE((*table)->Query(1).ok());
+  EXPECT_EQ((*db)->stats().row_cache_hits, hits + 3);
 }
 
 TEST(Database, WritesGoThroughJournal) {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "src/base/logging.h"
 #include "src/fs/block_device.h"
 #include "src/fs/fs_rpc.h"
 
@@ -332,6 +335,122 @@ TEST_F(FsTest, FsckDetectsBitmapCorruption) {
   Xv6Fs fs2(DirectTransport(&disk_), Xv6Fs::Config{4096, 512, kLogCapacity + 1, 64});
   ASSERT_TRUE(fs2.Mount().ok());
   EXPECT_FALSE(fs2.Fsck().ok());
+}
+
+// Buffer-cache replacement, observed through the block traffic of a
+// 4-entry cache over a file written by a normally sized one.
+class FsEvictionTest : public ::testing::Test {
+ protected:
+  static constexpr uint32_t kFileBlocks = 5;
+
+  FsEvictionTest() : disk_(4096) {
+    Xv6Fs writer(DirectTransport(&disk_));
+    SB_CHECK(writer.Mkfs().ok());
+    SB_CHECK(writer.Mount().ok());
+    inum_ = *writer.Create("/f");
+    const std::vector<uint8_t> data(kFileBlocks * kBlockSize, 0x11);
+    SB_CHECK(writer.WriteFile(inum_, 0, data).ok());
+  }
+
+  // Records the home block of every transport read and write; fails writes
+  // while fail_writes_ is set.
+  BlockTransport Recording() {
+    return [this](const mk::Message& msg) -> sb::StatusOr<mk::Message> {
+      uint32_t block = 0;
+      std::memcpy(&block, msg.data.data(), 4);
+      if (msg.tag == kBlockWrite) {
+        if (fail_writes_) {
+          return sb::Unavailable("injected write failure");
+        }
+        writes_.push_back(block);
+      } else {
+        reads_.push_back(block);
+      }
+      return DirectTransport(&disk_)(msg);
+    };
+  }
+
+  std::unique_ptr<Xv6Fs> SmallCache() {
+    auto fs = std::make_unique<Xv6Fs>(Recording(), Xv6Fs::Config{4096, 512, kLogCapacity + 1, 4});
+    SB_CHECK(fs->Mount().ok());
+    return fs;
+  }
+
+  // Reads file block `fbn`; returns how many blocks came from the device.
+  size_t ReadBlock(Xv6Fs& fs, uint32_t fbn) {
+    const size_t before = reads_.size();
+    std::vector<uint8_t> out(kBlockSize);
+    SB_CHECK(fs.ReadFile(inum_, fbn * kBlockSize, out).ok());
+    return reads_.size() - before;
+  }
+
+  // The device block behind each file block, learned from a cold cache.
+  std::vector<uint32_t> DataBlocks() {
+    std::vector<uint32_t> blocks;
+    for (uint32_t fbn = 0; fbn < kFileBlocks; ++fbn) {
+      (void)ReadBlock(*SmallCache(), fbn);
+      blocks.push_back(reads_.back());
+    }
+    return blocks;
+  }
+
+  RamDisk disk_;
+  uint32_t inum_ = 0;
+  bool fail_writes_ = false;
+  std::vector<uint32_t> reads_;
+  std::vector<uint32_t> writes_;
+};
+
+TEST_F(FsEvictionTest, EvictsTheLeastRecentlyUsedBlock) {
+  std::unique_ptr<Xv6Fs> small = SmallCache();
+  Xv6Fs& fs = *small;
+  EXPECT_EQ(ReadBlock(fs, 0), 2u);  // Inode block + data block 0.
+  EXPECT_EQ(ReadBlock(fs, 1), 1u);
+  EXPECT_EQ(ReadBlock(fs, 2), 1u);  // Full: inode, 0, 1, 2.
+  EXPECT_EQ(ReadBlock(fs, 0), 0u);  // Block 1 is now the least recently used.
+  EXPECT_EQ(ReadBlock(fs, 3), 1u);  // Evicts block 1.
+  EXPECT_EQ(ReadBlock(fs, 0), 0u);
+  EXPECT_EQ(ReadBlock(fs, 2), 0u);
+  EXPECT_EQ(ReadBlock(fs, 3), 0u);
+  EXPECT_EQ(ReadBlock(fs, 1), 1u);
+  EXPECT_TRUE(writes_.empty());
+}
+
+TEST_F(FsEvictionTest, SkipsBlocksPinnedByTheOpenTransaction) {
+  std::unique_ptr<Xv6Fs> small = SmallCache();
+  Xv6Fs& fs = *small;
+  ASSERT_TRUE(fs.BeginOp().ok());
+  const std::vector<uint8_t> data(kBlockSize, 0x22);
+  ASSERT_TRUE(fs.WriteFile(inum_, 0, data).ok());  // Pins data block 0 and the inode.
+  EXPECT_EQ(ReadBlock(fs, 1), 1u);
+  EXPECT_EQ(ReadBlock(fs, 2), 1u);
+  EXPECT_EQ(ReadBlock(fs, 3), 1u);  // LRU is pinned block 0: evicts block 1.
+  EXPECT_TRUE(writes_.empty());
+  ASSERT_TRUE(fs.EndOp().ok());
+  EXPECT_EQ(ReadBlock(fs, 0), 0u);
+  EXPECT_EQ(ReadBlock(fs, 1), 1u);
+}
+
+TEST_F(FsEvictionTest, FlushesADirtyVictimToItsHomeBlock) {
+  const std::vector<uint32_t> blocks = DataBlocks();
+  std::unique_ptr<Xv6Fs> small = SmallCache();
+  Xv6Fs& fs = *small;
+  ASSERT_TRUE(fs.BeginOp().ok());
+  const std::vector<uint8_t> data(kBlockSize, 0x33);
+  ASSERT_TRUE(fs.WriteFile(inum_, 0, data).ok());
+  // A failed commit leaves block 0 and the inode dirty but no longer pinned.
+  fail_writes_ = true;
+  EXPECT_FALSE(fs.EndOp().ok());
+  fail_writes_ = false;
+  writes_.clear();
+  EXPECT_EQ(ReadBlock(fs, 1), 1u);
+  EXPECT_EQ(ReadBlock(fs, 2), 1u);
+  EXPECT_TRUE(writes_.empty());
+  EXPECT_EQ(ReadBlock(fs, 3), 1u);  // Evicts dirty block 0: written home first.
+  EXPECT_EQ(writes_, std::vector<uint32_t>{blocks[0]});
+  std::vector<uint8_t> home(kBlockSize);
+  ASSERT_TRUE(disk_.Read(nullptr, blocks[0], home).ok());
+  EXPECT_EQ(home, data);
 }
 
 TEST(RamDisk, ReadWriteRoundTrip) {

@@ -97,10 +97,10 @@ TEST(FrameAllocator, ExhaustsAndRecycles) {
 
 TEST(Cache, HitAfterMiss) {
   Cache cache(L1dConfig());
-  EXPECT_FALSE(cache.Access(0x1000, false));
-  EXPECT_TRUE(cache.Access(0x1000, false));
-  EXPECT_TRUE(cache.Access(0x1020, false));  // Same 64B line? No: 0x1020 is a
-                                             // different offset but same line.
+  EXPECT_FALSE(cache.Access(0x1000));
+  EXPECT_TRUE(cache.Access(0x1000));
+  EXPECT_TRUE(cache.Access(0x1020));  // Same 64B line? No: 0x1020 is a
+                                      // different offset but same line.
   EXPECT_EQ(cache.misses(), 1u);
 }
 
@@ -108,19 +108,40 @@ TEST(Cache, LruEviction) {
   // 2-way tiny cache: lines mapping to the same set evict LRU order.
   CacheConfig config{"tiny", 2 * 64, 2, 64};  // 1 set, 2 ways.
   Cache cache(config);
-  EXPECT_FALSE(cache.Access(0x0, false));
-  EXPECT_FALSE(cache.Access(0x40, false));
-  EXPECT_TRUE(cache.Access(0x0, false));     // 0x40 is now LRU.
-  EXPECT_FALSE(cache.Access(0x80, false));   // Evicts 0x40.
-  EXPECT_FALSE(cache.Access(0x40, false));
+  EXPECT_FALSE(cache.Access(0x0));
+  EXPECT_FALSE(cache.Access(0x40));
+  EXPECT_TRUE(cache.Access(0x0));    // 0x40 is now LRU.
+  EXPECT_FALSE(cache.Access(0x80));  // Evicts 0x40.
+  EXPECT_FALSE(cache.Access(0x40));
   EXPECT_TRUE(cache.Probe(0x40));
 }
 
 TEST(Cache, FlushClears) {
   Cache cache(L1dConfig());
-  cache.Access(0x1000, false);
+  cache.Access(0x1000);
   cache.Flush();
   EXPECT_FALSE(cache.Probe(0x1000));
+}
+
+// Every line of a full L1d resident at once; the next fill of a set evicts
+// that set's least recently used way and nothing else.
+TEST(Cache, FullCacheEvictsOnlyTheSetsLruWay) {
+  Cache cache(L1dConfig());
+  const uint64_t lines = L1dConfig().size_bytes / 64;  // 512: 64 sets x 8 ways.
+  for (uint64_t i = 0; i < lines; ++i) {
+    EXPECT_FALSE(cache.Access(i * 64));
+  }
+  for (uint64_t i = 0; i < lines; ++i) {
+    EXPECT_TRUE(cache.Access(i * 64));
+  }
+  EXPECT_TRUE(cache.Access(0));            // Set 0's LRU way is now line 64.
+  EXPECT_FALSE(cache.Access(lines * 64));  // Same set as line 0.
+  EXPECT_TRUE(cache.Probe(0));
+  EXPECT_FALSE(cache.Probe(64 * 64));
+  for (uint64_t i = 1; i < lines; ++i) {
+    EXPECT_EQ(cache.Probe(i * 64), i != 64) << i;
+  }
+  EXPECT_EQ(cache.misses(), lines + 1);
 }
 
 TEST(Tlb, HitRequiresMatchingTags) {
@@ -163,6 +184,35 @@ TEST(Tlb, LruCapacity) {
   tlb.Insert(0x3000, 12, 1, 0, 0, TlbEntry{});              // Evicts 0x2000.
   EXPECT_NE(tlb.Lookup(0x1000, 1, 0, 0, &shift), nullptr);
   EXPECT_EQ(tlb.Lookup(0x2000, 1, 0, 0, &shift), nullptr);
+}
+
+// The modelled dTLB+STLB size: 1536 entries resident at once, then exact
+// LRU replacement one entry at a time.
+TEST(Tlb, FullCapacityEvictsLeastRecentlyUsedAt1536) {
+  constexpr uint64_t kEntries = 1536;
+  Tlb tlb(kEntries);
+  for (uint64_t i = 0; i < kEntries; ++i) {
+    tlb.Insert(i << 12, 12, 1, 0, 0, TlbEntry{(i + 1) << 12, false, true});
+  }
+  EXPECT_EQ(tlb.size(), kEntries);
+  uint8_t shift = 0;
+  for (uint64_t i = 0; i < kEntries; ++i) {
+    const TlbEntry* e = tlb.Lookup(i << 12, 1, 0, 0, &shift);
+    ASSERT_NE(e, nullptr) << i;
+    EXPECT_EQ(e->frame, (i + 1) << 12);
+  }
+  EXPECT_NE(tlb.Lookup(0, 1, 0, 0, &shift), nullptr);  // Entry 1 becomes the LRU.
+  tlb.Insert(kEntries << 12, 12, 1, 0, 0, TlbEntry{});
+  EXPECT_EQ(tlb.size(), kEntries);
+  EXPECT_EQ(tlb.Lookup(1 << 12, 1, 0, 0, &shift), nullptr);
+  for (uint64_t i = 2; i <= kEntries; ++i) {
+    EXPECT_NE(tlb.Lookup(i << 12, 1, 0, 0, &shift), nullptr) << i;
+  }
+  EXPECT_NE(tlb.Lookup(0, 1, 0, 0, &shift), nullptr);
+  // Refilling entry 1 now evicts entry 2, the oldest of the second pass.
+  tlb.Insert(1 << 12, 12, 1, 0, 0, TlbEntry{});
+  EXPECT_EQ(tlb.Lookup(2 << 12, 1, 0, 0, &shift), nullptr);
+  EXPECT_EQ(tlb.size(), kEntries);
 }
 
 class EptTest : public ::testing::Test {
