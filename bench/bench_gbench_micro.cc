@@ -26,6 +26,8 @@
 #include "src/mk/kernel.h"
 #include "src/skybridge/skybridge.h"
 #include "src/vmm/rootkernel.h"
+#include "src/x86/decoder.h"
+#include "src/x86/rewrite_cache.h"
 #include "src/x86/scanner.h"
 
 namespace {
@@ -235,6 +237,52 @@ void BM_VmfuncScanParallel(benchmark::State& state) {
   state.counters["threads"] = static_cast<double>(pool.num_threads() + 1);
 }
 BENCHMARK(BM_VmfuncScanParallel);
+
+// ---- A fresh spawn's scan and hash: one 64 KiB image, as spawn_churn's ----
+
+std::vector<uint8_t> SpawnImage() {
+  sb::Rng rng(0x5eedULL);
+  return apps::GenerateProgramWithCallImmPattern(rng, mk::kCodeSize);
+}
+
+// The whole ImageScan of a fresh image (raw search, sweep and stitch), with
+// the pool off (Arg 0) and with a 4-worker pool (Arg 4).
+void BM_ImageScan64K(benchmark::State& state) {
+  const std::vector<uint8_t> image = SpawnImage();
+  sb::ThreadPool pool(static_cast<int>(state.range(0)));
+  x86::ScanOptions options;
+  options.pool = state.range(0) > 0 ? &pool : nullptr;
+  for (auto _ : state) {
+    x86::ImageScan scan(image, options);
+    benchmark::DoNotOptimize(scan.index().start_bits.data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * image.size()));
+}
+BENCHMARK(BM_ImageScan64K)->Arg(0)->Arg(4);
+
+// A serial length-only linear sweep of the same image.
+void BM_InsnLengthSweep64K(benchmark::State& state) {
+  const std::vector<uint8_t> image = SpawnImage();
+  for (auto _ : state) {
+    size_t insns = 0;
+    for (size_t pos = 0; pos < image.size(); pos += x86::InsnLength(image, pos)) {
+      ++insns;
+    }
+    benchmark::DoNotOptimize(insns);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * image.size()));
+}
+BENCHMARK(BM_InsnLengthSweep64K);
+
+// The rewrite-cache key hash over the whole image.
+void BM_HashBytes64K(benchmark::State& state) {
+  const std::vector<uint8_t> image = SpawnImage();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(x86::HashBytes(image));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * image.size()));
+}
+BENCHMARK(BM_HashBytes64K);
 
 // ---- Per-layer primitives: one hw model or telemetry operation each ----
 

@@ -1,11 +1,13 @@
 // A small fixed-size worker pool for data-parallel chunked work.
 //
-// SkyBridge uses it to fan the registration-time code-page scans out across
-// host cores (the sanctioned slow path, paper Table 6); the IPC fast path
-// never touches it. ParallelFor is deterministic from the caller's point of
-// view: every index runs exactly once and the caller blocks until all are
-// done, so callers that bucket results per index get schedule-independent
-// output.
+// SkyBridge uses it to fan the registration-time scan of a fresh code image
+// out across host cores (the sanctioned slow path, paper Table 6): one
+// dispatch per image runs every page's raw pattern search and its
+// speculative linear sweep, which x86::ImageScan then stitches serially.
+// The IPC fast path never touches it. ParallelFor is deterministic from the
+// caller's point of view: every index runs exactly once and the caller
+// blocks until all are done, so callers that bucket results per index get
+// schedule-independent output.
 
 #ifndef SRC_BASE_THREAD_POOL_H_
 #define SRC_BASE_THREAD_POOL_H_

@@ -9,6 +9,8 @@
 // exec-violation fault (rewrite-on-first-execute).
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
 #include "src/base/faultpoint.h"
 #include "src/base/logging.h"
@@ -58,6 +60,33 @@ CrossingBackendKind BackendForBit(uint8_t bit) {
   return bit == 0x2 ? CrossingBackendKind::kMpk : CrossingBackendKind::kEptp;
 }
 
+// The one hash pass over an image: x86::HashPage of each of its pages.
+std::vector<uint64_t> HashPages(std::span<const uint8_t> image) {
+  std::vector<uint64_t> hashes(ImagePages(image.size()));
+  for (size_t p = 0; p < hashes.size(); ++p) {
+    hashes[p] = x86::HashPage(image, p);
+  }
+  return hashes;
+}
+
+// The image's hash, derived from its page hashes (each folds its page's
+// length, so together they pin every byte and the image size).
+uint64_t ImageHash(const std::vector<uint64_t>& page_hashes) {
+  return x86::HashBytes({reinterpret_cast<const uint8_t*>(page_hashes.data()),
+                         page_hashes.size() * sizeof(uint64_t)});
+}
+
+// Sets the bit of every code page `patch` writes into.
+void MarkPatchedPages(const x86::PagePatch& patch, uint64_t& pages) {
+  if (patch.bytes.empty()) {
+    return;
+  }
+  const size_t last = (patch.code_off + patch.bytes.size() - 1) / sb::kPageSize;
+  for (size_t p = patch.code_off / sb::kPageSize; p <= last; ++p) {
+    pages |= 1ULL << p;
+  }
+}
+
 }  // namespace
 
 sb::StatusOr<SkyBridge::RegState*> SkyBridge::EnsureRegStateLocked(mk::Process* process) {
@@ -70,9 +99,9 @@ sb::StatusOr<SkyBridge::RegState*> SkyBridge::EnsureRegStateLocked(mk::Process* 
     return sb::FailedPrecondition("process has no code mapping");
   }
   RegState st;
-  st.pristine_image = process->code_image();
-  st.pristine_hash = x86::HashBytes(st.pristine_image);
-  st.image_pages = ImagePages(st.pristine_image.size());
+  st.page_hashes = HashPages(process->code_image());
+  st.pristine_hash = ImageHash(st.page_hashes);
+  st.image_pages = st.page_hashes.size();
   st.page_gpas.resize(st.image_pages);
   for (size_t p = 0; p < st.image_pages; ++p) {
     st.page_gpas[p] = code_walk.gpa + p * sb::kPageSize;
@@ -98,23 +127,23 @@ sb::Status SkyBridge::ScrubPagesLocked(mk::Process* process, RegState& st,
   scan_options.pattern =
       backend == CrossingBackendKind::kMpk ? x86::kWrpkruBytes : x86::kVmfuncBytes;
   // One scan per image: carried over from the last scrub, adopted from an
-  // identical template's, or run here once.
+  // identical template's, or run here once. The scan works on a copy: a
+  // scrub that fails part-way leaves the process's image untouched.
   x86::ImageScan scan = [&] {
     if (st.scan.has_value()) {
       x86::ImageScan carried(process->code_image(), *st.scan);
       carried.SetPattern(scan_options);
       return carried;
     }
-    // Only a pristine image may share its template's index.
-    const bool pristine = process->code_image() == st.pristine_image;
+    // Without a carried scan the image is still the pristine one (only a
+    // successful scrub, which leaves st.scan, and UpdateProcessCode, which
+    // re-pristines, replace it), so it may share its template's index.
     const auto memo_key = std::make_pair(st.pristine_hash, pattern_id);
-    if (auto it = scan_memo_.find(memo_key); pristine && it != scan_memo_.end()) {
+    if (auto it = scan_memo_.find(memo_key); it != scan_memo_.end()) {
       return x86::ImageScan(process->code_image(), it->second);
     }
     x86::ImageScan fresh(process->code_image(), scan_options);
-    if (pristine) {
-      scan_memo_.emplace(memo_key, fresh.index());
-    }
+    scan_memo_.emplace(memo_key, fresh.index());
     return fresh;
   }();
   metrics_.scan_pages->Add(scan_stats.pages);
@@ -123,11 +152,21 @@ sb::Status SkyBridge::ScrubPagesLocked(mk::Process* process, RegState& st,
   if (keys.size() < st.image_pages) {
     keys.resize(st.image_pages);
   }
+  // Page hashes of the scan's bytes, committed to st on success. A page a
+  // patch wrote into is `stale` until its next rehash, and `written` until
+  // the write-back.
+  std::vector<uint64_t> page_hashes = st.page_hashes;
+  uint64_t stale = 0;
+  uint64_t written = 0;
   for (size_t p = 0; p < st.image_pages; ++p) {
     if (((page_mask >> p) & 1) == 0) {
       continue;
     }
-    const x86::RewriteCacheKey key = x86::PageCacheKey(scan, p, pattern_id);
+    if (((stale >> p) & 1) != 0) {
+      page_hashes[p] = x86::HashPage(scan.code(), p);
+      stale &= ~(1ULL << p);
+    }
+    const x86::RewriteCacheKey key = x86::PageCacheKey(scan, p, pattern_id, page_hashes[p]);
     x86::PageRewrite pr;
     bool replayed = false;
     if (cached) {
@@ -162,6 +201,12 @@ sb::Status SkyBridge::ScrubPagesLocked(mk::Process* process, RegState& st,
         rewrite_cache_.Insert(key, pr);
       }
     }
+    uint64_t patched = 0;
+    for (const x86::PagePatch& patch : pr.patches) {
+      MarkPatchedPages(patch, patched);
+    }
+    stale |= patched;
+    written |= patched;
     // Only a page whose content actually changed retires its old entry —
     // UpdateProcessCode re-runs this path and clean pages replay instead.
     if (keys[p].content_hash != 0 && !(keys[p] == key)) {
@@ -184,10 +229,22 @@ sb::Status SkyBridge::ScrubPagesLocked(mk::Process* process, RegState& st,
       kernel_->machine().mem().Write(wgpa, pr.snippets);
     }
   }
-  // Write the (partially) rewritten image back over the code pages.
+  // Write the pages a patch changed back over the code pages; the others
+  // already hold these bytes.
   std::vector<uint8_t> image = scan.TakeCode();
-  kernel_->machine().mem().Write(code_walk.gpa, image);
+  for (size_t p = 0; p < st.image_pages; ++p) {
+    if (((written >> p) & 1) == 0) {
+      continue;
+    }
+    const size_t begin = p * sb::kPageSize;
+    const size_t len = std::min<size_t>(sb::kPageSize, image.size() - begin);
+    kernel_->machine().mem().Write(code_walk.gpa + begin, {image.data() + begin, len});
+    if (((stale >> p) & 1) != 0) {
+      page_hashes[p] = x86::HashPage(image, p);
+    }
+  }
   process->set_code_image(std::move(image));
+  st.page_hashes = std::move(page_hashes);
   st.scan = scan.TakeIndex();
   return sb::OkStatus();
 }
@@ -301,10 +358,10 @@ sb::Status SkyBridge::UpdateProcessCode(mk::Process* process, std::vector<uint8_
     // st.page_keys is deliberately retained: ScrubPagesLocked diffs each
     // page's fresh key against it and invalidates exactly the dirtied
     // pages' cache entries — clean pages replay from the cache.
-    st.pristine_image = process->code_image();
-    st.pristine_hash = x86::HashBytes(st.pristine_image);
+    st.page_hashes = HashPages(process->code_image());
+    st.pristine_hash = ImageHash(st.page_hashes);
     st.scan.reset();
-    const size_t new_pages = ImagePages(st.pristine_image.size());
+    const size_t new_pages = st.page_hashes.size();
     if (new_pages != st.image_pages) {
       for (size_t p = new_pages; p < st.image_pages; ++p) {
         gpa_to_page_.erase(st.page_gpas[p]);

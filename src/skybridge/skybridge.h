@@ -272,8 +272,10 @@ class SkyBridge {
   // Per prepared process. Guarded by reg_mu_ (slow path only: registration,
   // code update, exec-fault resolution).
   struct RegState {
-    uint64_t pristine_hash = 0;           // Hash of the pre-rewrite image.
-    std::vector<uint8_t> pristine_image;  // Pre-rewrite bytes (update diff).
+    uint64_t pristine_hash = 0;  // Hash of the pre-rewrite image (the memo key).
+    // x86::HashPage of every page of the current code image: hashed once
+    // per image, then only the pages a scrub patches are rehashed.
+    std::vector<uint64_t> page_hashes;
     size_t image_pages = 0;
     uint64_t nonexec_mask = 0;  // Bit p set: page p awaits its lazy rewrite.
     std::vector<hw::Gpa> page_gpas;

@@ -1,5 +1,6 @@
 #include "src/x86/decoder.h"
 
+#include <algorithm>
 #include <array>
 
 #include "src/base/logging.h"
@@ -34,7 +35,7 @@ struct Tables {
   std::array<OpInfo, 256> two;   // 0F xx
 };
 
-Tables BuildTables() {
+constexpr Tables BuildTables() {
   Tables t{};
   auto set = [](std::array<OpInfo, 256>& map, int op, bool modrm, ImmKind imm) {
     map[static_cast<size_t>(op)] = OpInfo{true, modrm, imm};
@@ -159,10 +160,7 @@ Tables BuildTables() {
   return t;
 }
 
-const Tables& GetTables() {
-  static const Tables kTables = BuildTables();
-  return kTables;
-}
+constexpr Tables kTables = BuildTables();
 
 bool IsLegacyPrefix(uint8_t b) {
   switch (b) {
@@ -331,13 +329,17 @@ Mnemonic Classify(const Insn& insn, std::span<const uint8_t> code, size_t opcode
   return Mnemonic::kOther;
 }
 
-}  // namespace
-
-Insn Decode(std::span<const uint8_t> code, size_t offset) {
-  Insn insn;
+// Decodes the instruction at code[offset] into every field but the mnemonic;
+// `vex` reports a VEX-encoded one. Returns false on undecodable bytes,
+// leaving insn.length at 1 and the fields read so far filled. Decode and
+// InsnLength both run this one routine: with its Insn a local that nothing
+// reads but `length`, InsnLength compiles to a length-only walk over the same
+// tables.
+[[gnu::always_inline]] inline bool DecodeFields(std::span<const uint8_t> code, size_t offset,
+                                                Insn& insn, bool& vex) {
   insn.length = 1;  // Conservative skip on failure.
   if (offset >= code.size()) {
-    return insn;
+    return false;
   }
   const size_t limit = std::min(code.size(), offset + kMaxInsnLen);
   size_t pos = offset;
@@ -369,69 +371,64 @@ Insn Decode(std::span<const uint8_t> code, size_t offset) {
     break;
   }
   if (pos >= limit) {
-    return insn;
+    return false;
   }
   insn.rex = rex;
   insn.operand_size_16 = opsize16;
   insn.opcode_off = static_cast<uint8_t>(pos - offset);
 
-  const Tables& tables = GetTables();
   OpInfo info;
   uint8_t op = code[pos];
 
   // VEX prefixes (C4/C5 are always VEX in 64-bit mode).
-  bool is_vex = false;
-  uint8_t vex_map = 1;
   if (op == 0xc4 || op == 0xc5) {
-    is_vex = true;
     const size_t vex_len = op == 0xc4 ? 3 : 2;
     if (pos + vex_len >= limit) {
-      return insn;
+      return false;
     }
-    if (op == 0xc4) {
-      vex_map = code[pos + 1] & 0x1f;
-    }
+    const uint8_t vex_map = op == 0xc4 ? code[pos + 1] & 0x1f : 1;
     pos += vex_len;
     op = code[pos];
     if (vex_map > 3 || vex_map == 0) {
-      return insn;  // Reserved map.
+      return false;  // Reserved map.
     }
     info = OpInfo{true, true, vex_map == 3 ? ImmKind::kImm8 : ImmKind::kNone};
     insn.opcode_off = static_cast<uint8_t>(pos - offset);
     insn.opcode_len = 1;
+    vex = true;
     ++pos;
   } else if (op == 0x0f) {
     if (pos + 1 >= limit) {
-      return insn;
+      return false;
     }
     const uint8_t op2 = code[pos + 1];
     if (op2 == 0x38 || op2 == 0x3a) {
       if (pos + 2 >= limit) {
-        return insn;
+        return false;
       }
       info = OpInfo{true, true, op2 == 0x3a ? ImmKind::kImm8 : ImmKind::kNone};
       insn.opcode_len = 3;
       pos += 3;
     } else {
-      info = tables.two[op2];
+      info = kTables.two[op2];
       insn.opcode_len = 2;
       pos += 2;
     }
   } else {
-    info = tables.one[op];
+    info = kTables.one[op];
     insn.opcode_len = 1;
     ++pos;
   }
 
   if (!info.valid) {
-    return insn;
+    return false;
   }
 
   // ModRM / SIB / displacement.
   uint8_t disp_len = 0;
   if (info.modrm) {
     if (pos >= limit) {
-      return insn;
+      return false;
     }
     insn.has_modrm = true;
     insn.modrm_off = static_cast<uint8_t>(pos - offset);
@@ -442,7 +439,7 @@ Insn Decode(std::span<const uint8_t> code, size_t offset) {
     if (mod != 3) {
       if (rm == 4) {
         if (pos >= limit) {
-          return insn;
+          return false;
         }
         insn.has_sib = true;
         insn.sib_off = static_cast<uint8_t>(pos - offset);
@@ -464,7 +461,7 @@ Insn Decode(std::span<const uint8_t> code, size_t offset) {
   }
   if (disp_len > 0) {
     if (pos + disp_len > limit) {
-      return insn;
+      return false;
     }
     insn.disp_off = static_cast<uint8_t>(pos - offset);
     insn.disp_len = disp_len;
@@ -507,7 +504,7 @@ Insn Decode(std::span<const uint8_t> code, size_t offset) {
   }
   if (imm_len > 0) {
     if (pos + imm_len > limit) {
-      return insn;
+      return false;
     }
     insn.imm_off = static_cast<uint8_t>(pos - offset);
     insn.imm_len = imm_len;
@@ -515,10 +512,26 @@ Insn Decode(std::span<const uint8_t> code, size_t offset) {
   }
 
   insn.length = static_cast<uint8_t>(pos - offset);
-  insn.valid = true;
-  insn.mnemonic =
-      is_vex ? Mnemonic::kOther : Classify(insn, code, offset + insn.opcode_off);
+  return true;
+}
+
+}  // namespace
+
+Insn Decode(std::span<const uint8_t> code, size_t offset) {
+  Insn insn;
+  bool vex = false;
+  if (DecodeFields(code, offset, insn, vex)) {
+    insn.valid = true;
+    insn.mnemonic = vex ? Mnemonic::kOther : Classify(insn, code, offset + insn.opcode_off);
+  }
   return insn;
+}
+
+size_t InsnLength(std::span<const uint8_t> code, size_t offset) {
+  Insn insn;
+  bool vex = false;
+  DecodeFields(code, offset, insn, vex);
+  return insn.length;
 }
 
 std::vector<size_t> LinearSweep(std::span<const uint8_t> code) {
@@ -526,8 +539,7 @@ std::vector<size_t> LinearSweep(std::span<const uint8_t> code) {
   size_t pos = 0;
   while (pos < code.size()) {
     starts.push_back(pos);
-    const Insn insn = Decode(code, pos);
-    pos += insn.length;
+    pos += InsnLength(code, pos);
   }
   return starts;
 }

@@ -17,6 +17,10 @@ namespace x86 {
 // the conservative linear-sweep convention).
 Insn Decode(std::span<const uint8_t> code, size_t offset);
 
+// Decode(code, offset).length without the fields and the mnemonic: the same
+// tables and rules, for sweeps that need only instruction boundaries.
+size_t InsnLength(std::span<const uint8_t> code, size_t offset);
+
 // Linear-sweep decode of a whole code region: returns the start offset of
 // every decoded instruction, in order. Undecodable bytes consume one offset
 // each.

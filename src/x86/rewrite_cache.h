@@ -38,14 +38,22 @@
 
 namespace x86 {
 
-// A 64-bit hash, word at a time with the length folded in. Its values are
-// internal keys (`content_hash`, `pristine_hash`), never printed or stored.
+// A 64-bit hash, four word-wide lanes at a time with the length folded in.
+// Its values are internal keys (`content_hash`, `pristine_hash`), never
+// printed or stored.
 uint64_t HashBytes(std::span<const uint8_t> bytes);
 
+// Hash of code page `page_index`'s own bytes (clamped to the image). A spawn
+// hashes each page of its image once; the page keys and the image's hash
+// are derived from these, and a patch costs a rehash of the pages it wrote.
+uint64_t HashPage(std::span<const uint8_t> image, size_t page_index);
+
 // Hash of code page `page_index` of `image` plus up to 64 bytes of context
-// on each side (clamped to the image). This is the `content_hash` half of
-// the cache key; identical pages in identical neighbourhoods collide by
-// construction.
+// on each side (clamped to the image), given the page's HashPage. This is
+// the `content_hash` half of the cache key; identical pages in identical
+// neighbourhoods collide by construction. The two-argument form hashes the
+// page itself.
+uint64_t HashCodePage(std::span<const uint8_t> image, size_t page_index, uint64_t page_hash);
 uint64_t HashCodePage(std::span<const uint8_t> image, size_t page_index);
 
 struct RewriteCacheKey {
@@ -59,9 +67,11 @@ struct RewriteCacheKey {
   bool operator==(const RewriteCacheKey& rhs) const = default;
 };
 
-// The cache key of page `page_index` of the scanned image, read off the
-// scan's current instruction starts (no sweep of its own).
-RewriteCacheKey PageCacheKey(const ImageScan& scan, size_t page_index, uint32_t pattern_id);
+// The cache key of page `page_index` of the scanned image, given the HashPage
+// of that page's current bytes, read off the scan's current instruction
+// starts (no sweep of its own).
+RewriteCacheKey PageCacheKey(const ImageScan& scan, size_t page_index, uint32_t pattern_id,
+                             uint64_t page_hash);
 
 // Hits and misses are counted on the registry (skybridge.registration.*).
 struct RewriteCacheStats {

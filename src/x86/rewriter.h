@@ -52,8 +52,9 @@ struct RewriteConfig {
   uint64_t rewrite_page_base = 0x1000;  // VA of the rewrite page (paper 5.1).
   size_t rewrite_page_capacity = 16 * 4096;
   int max_iterations = 64;
-  // Optional pool for the per-code-page chunked pattern scans. The rewrite
-  // output is byte-identical with or without it (deterministic merge order).
+  // Optional pool for the per-code-page chunked scan (pattern search and
+  // speculative sweep). The rewrite output is byte-identical with or without
+  // it (deterministic merge order and stitch).
   sb::ThreadPool* scan_pool = nullptr;
   // The gate-instruction triple this pass scrubs: kVmfuncBytes for the EPTP
   // backend, kWrpkruBytes for the MPK backend (same 0F 01 /r shape, so every

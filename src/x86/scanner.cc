@@ -140,10 +140,63 @@ std::vector<VmfuncHit> ScanForVmfunc(std::span<const uint8_t> code, const ScanOp
 ImageScan::ImageScan(std::vector<uint8_t> code, const ScanOptions& options)
     : code_(std::move(code)) {
   index_.pattern = options.pattern == nullptr ? kVmfuncBytes : options.pattern;
-  index_.raw = FindVmfuncBytes(code_, options);
   index_.start_bits.assign((code_.size() + 63) / 64, 0);
-  for (const size_t start : LinearSweep(code_)) {
-    SetStart(start);
+  // Chunks are whole start_bits words, so concurrent chunks never share one.
+  const size_t chunk_bytes = options.chunk_bytes == 0 ? 4096 : options.chunk_bytes;
+  const size_t chunk = (chunk_bytes + 63) / 64 * 64;
+  const size_t size = code_.size();
+  const size_t num_chunks = (size + chunk - 1) / chunk;
+  const size_t search_end = size >= 2 ? size - 2 : 0;  // Valid pattern starts.
+  std::vector<std::vector<size_t>> raw(num_chunks);
+  std::vector<size_t> exits(num_chunks);
+  // One task per chunk: its raw pattern starts, and a speculative sweep from
+  // its own first byte that sets the starts inside the chunk and records
+  // where it leaves it.
+  const auto scan_chunk = [&](size_t c) {
+    const size_t begin = c * chunk;
+    const size_t end = std::min(begin + chunk, size);
+    ScanRange(code_, begin, std::min(end, search_end), index_.pattern, raw[c]);
+    size_t pos = begin;
+    while (pos < end) {
+      SetStart(pos);
+      pos += InsnLength(code_, pos);
+    }
+    exits[c] = pos;
+  };
+  size_t threads = 1;
+  if (options.pool != nullptr) {
+    threads = options.pool->ParallelFor(num_chunks, scan_chunk);
+  } else {
+    for (size_t c = 0; c < num_chunks; ++c) {
+      scan_chunk(c);
+    }
+  }
+  if (options.stats != nullptr) {
+    options.stats->AddPages(num_chunks);
+    options.stats->MaxThreads(threads);
+  }
+  for (const std::vector<size_t>& bucket : raw) {
+    index_.raw.insert(index_.raw.end(), bucket.begin(), bucket.end());
+  }
+  // Stitch (DESIGN.md section 17). Chunk 0's sweep starts where the true one
+  // does. Every later chunk is entered at the true exit of the one before:
+  // walk the true sweep from there, clearing the speculative starts it steps
+  // over, until it lands on a speculative start. Decoding is deterministic
+  // from a start, so from that start on the chunk's sweep is the true one and
+  // so is its exit. A chunk that never re-joins is fully re-swept.
+  size_t entry = num_chunks > 0 ? exits[0] : 0;
+  for (size_t c = 1; c < num_chunks; ++c) {
+    const size_t begin = c * chunk;
+    const size_t end = std::min(begin + chunk, size);
+    ClearStarts(begin, std::min(entry, end));
+    size_t pos = entry;
+    while (pos < end && !IsStart(pos)) {
+      SetStart(pos);
+      const size_t next = pos + InsnLength(code_, pos);
+      ClearStarts(pos + 1, std::min(next, end));
+      pos = next;
+    }
+    entry = pos < end ? exits[c] : pos;
   }
 }
 
@@ -188,7 +241,7 @@ void ImageScan::Patch(size_t off, std::span<const uint8_t> bytes) {
   // a patched byte, and stop once the sweep rejoins the old one past `hi`.
   size_t pos = lo >= kMaxInsnBytes ? LastStartAtOrBefore(lo - kMaxInsnBytes) : 0;
   while (true) {
-    const size_t next = pos + Decode(code_, pos).length;
+    const size_t next = pos + InsnLength(code_, pos);
     ClearStarts(pos + 1, std::min(next, code_.size()));
     if (next >= code_.size() || (next >= hi && IsStart(next))) {
       return;

@@ -17,7 +17,10 @@
 // ImageScan is the rewriter's incremental form of the same scan: it finds
 // the raw offsets and the linear-sweep instruction starts of an image once,
 // then keeps both exact across patches by re-scanning only the bytes an edit
-// can have changed (DESIGN.md section 17).
+// can have changed (DESIGN.md section 17). Its one pool dispatch fans out
+// the sweep as well as the search: every chunk is swept speculatively from
+// its own first byte, and a serial stitch joins the chunks into the one true
+// sweep.
 
 #ifndef SRC_X86_SCANNER_H_
 #define SRC_X86_SCANNER_H_
@@ -66,7 +69,7 @@ struct ScanStats {
 };
 
 struct ScanOptions {
-  sb::ThreadPool* pool = nullptr;  // nullptr => serial scan.
+  sb::ThreadPool* pool = nullptr;  // nullptr => every chunk on the caller.
   size_t chunk_bytes = 4096;       // Fan-out granularity (one code page).
   ScanStats* stats = nullptr;      // Optional accounting sink.
   // The three-byte gate pattern this pass hunts: kVmfuncBytes (default) or
@@ -89,8 +92,14 @@ struct ScanIndex {
 };
 
 // Incremental scan state of one code image. Construction runs the full scan
-// (FindVmfuncBytes + a linear sweep); Patch() keeps the index equal to what a
-// fresh scan of the patched bytes would find, re-scanning only
+// in one ParallelFor over chunks of options.chunk_bytes (rounded up to a
+// multiple of 64, so chunks own disjoint start_bits words), or inline with no
+// pool: each chunk's raw search, plus a length-only sweep from the chunk's
+// first byte. A serial stitch then enters each chunk at the true exit of the
+// one before and walks the true sweep, clearing the speculative starts it
+// steps over, until it lands on a speculative start; from there the chunk's
+// sweep is the true one. Patch() keeps the index equal to what a fresh scan
+// of the patched bytes would find, re-scanning only
 //   - raw offsets in [lo - 2, hi): the only triples that read a byte of the
 //     patched range [lo, hi);
 //   - instruction starts from the last start <= lo - 15 (Decode reads at

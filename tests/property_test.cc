@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <string>
 #include <thread>
 
@@ -714,6 +715,158 @@ TEST(ScanEngineProperty, ArbitraryPatchesKeepTheIndexFresh) {
       ExpectIndexIsFresh(scan, "seed " + std::to_string(seed) + " patch " + std::to_string(i));
     }
   }
+}
+
+// ---- The length-only decoder == Decode's lengths ----
+//
+// InsnLength reads the same tables as Decode; these pin it to Decode's
+// length at every offset, valid or not, including inputs cut mid-instruction.
+
+void ExpectLengthsMatchDecode(std::span<const uint8_t> code, const std::string& what) {
+  for (size_t off = 0; off <= code.size(); ++off) {
+    ASSERT_EQ(x86::InsnLength(code, off), x86::Decode(code, off).length)
+        << what << " offset " << off << " of " << code.size();
+  }
+}
+
+TEST(LengthDecoderProperty, InsnLengthMatchesDecodeOnTable6Corpus) {
+  for (const apps::CorpusProgram& program : apps::BuildTable6Corpus(0x5eed)) {
+    ExpectLengthsMatchDecode(program.code, program.name);
+  }
+}
+
+TEST(LengthDecoderProperty, InsnLengthMatchesDecodeOnGeneratedPrograms) {
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    sb::Rng rng(seed * 0x9e3779b97f4a7c15ULL + 5);
+    ExpectLengthsMatchDecode(apps::GenerateProgram(rng, 2 * kPageSize),
+                             "program " + std::to_string(seed));
+    ExpectLengthsMatchDecode(apps::GenerateProgramWithCallImmPattern(rng, 2 * kPageSize),
+                             "call-imm program " + std::to_string(seed));
+  }
+}
+
+// Random streams built from the decoder's hard cases: runs of 15 or more
+// legacy-prefix and REX bytes (past the 15-byte limit), VEX C4/C5 with any
+// map byte, 0F 38 / 0F 3A escapes, and every truncation of the tail.
+TEST(LengthDecoderProperty, InsnLengthMatchesDecodeOnPrefixRunsVexAndTruncatedTails) {
+  static const uint8_t kPrefixes[] = {0x66, 0x67, 0xf0, 0xf2, 0xf3, 0x2e, 0x36, 0x3e,
+                                      0x26, 0x64, 0x65, 0x40, 0x48, 0x4f};
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    sb::Rng rng(seed * 6364136223846793005ULL + 17);
+    std::vector<uint8_t> bytes;
+    while (bytes.size() < 2048) {
+      switch (rng.Below(5)) {
+        case 0: {  // A prefix run of 15..20 bytes, then an opcode.
+          const size_t run = 15 + rng.Below(6);
+          for (size_t i = 0; i < run; ++i) {
+            bytes.push_back(kPrefixes[rng.Below(sizeof(kPrefixes))]);
+          }
+          bytes.push_back(static_cast<uint8_t>(rng.Next()));
+          break;
+        }
+        case 1:  // VEX: C4 with a random map byte, or C5.
+          bytes.push_back(rng.OneIn(2) ? 0xc4 : 0xc5);
+          break;
+        case 2:  // Two- and three-byte opcode maps.
+          bytes.push_back(0x0f);
+          if (rng.OneIn(2)) {
+            bytes.push_back(rng.OneIn(2) ? 0x38 : 0x3a);
+          }
+          break;
+        default:
+          break;
+      }
+      for (size_t i = rng.Below(8); i > 0; --i) {
+        bytes.push_back(static_cast<uint8_t>(rng.Next()));
+      }
+    }
+    const std::string what = "stream " + std::to_string(seed);
+    ExpectLengthsMatchDecode(bytes, what);
+    // Truncated tails: the last instructions cut at every length.
+    for (size_t cut = 1; cut <= 16; ++cut) {
+      const std::span<const uint8_t> head(bytes.data(), bytes.size() - cut);
+      for (size_t off = head.size() >= 16 ? head.size() - 16 : 0; off <= head.size(); ++off) {
+        ASSERT_EQ(x86::InsnLength(head, off), x86::Decode(head, off).length)
+            << what << " cut " << cut << " offset " << off;
+      }
+    }
+  }
+}
+
+// ---- The speculative page-parallel sweep == the serial sweep ----
+//
+// ImageScan sweeps every chunk from its own first byte (on the pool when
+// there is one) and stitches the chunks together serially (DESIGN.md
+// section 17). Whatever the chunking and the pool, its index must be the
+// one-sweep answer: LinearSweep's starts and FindVmfuncBytes' offsets.
+
+void ExpectScanIsTheSerialSweep(const std::vector<uint8_t>& code, sb::ThreadPool& pool,
+                                const std::string& what) {
+  const std::vector<size_t> sweep = x86::LinearSweep(code);
+  const std::vector<size_t> raw = x86::FindVmfuncBytes(code);
+  for (const size_t chunk : {size_t{257}, size_t{4095}, size_t{4096}, size_t{65536}}) {
+    x86::ScanOptions options;
+    options.chunk_bytes = chunk;
+    const x86::ImageScan serial(code, options);
+    options.pool = &pool;
+    const x86::ImageScan pooled(code, options);
+    const std::string at = what + " chunk=" + std::to_string(chunk);
+    ASSERT_EQ(serial.Starts(), sweep) << at;
+    ASSERT_EQ(serial.index().raw, raw) << at;
+    ASSERT_EQ(pooled.index().start_bits, serial.index().start_bits) << at;
+    ASSERT_EQ(pooled.index().raw, raw) << at;
+  }
+}
+
+TEST(SpeculativeSweepProperty, PooledScanIsTheSerialSweepOnTable6Corpus) {
+  sb::ThreadPool pool(4);
+  for (const apps::CorpusProgram& program : apps::BuildTable6Corpus(0x5eed)) {
+    ExpectScanIsTheSerialSweep(program.code, pool, program.name);
+  }
+}
+
+TEST(SpeculativeSweepProperty, PooledScanIsTheSerialSweepOnGeneratedAndRandomImages) {
+  sb::ThreadPool pool(4);
+  for (uint64_t seed = 0; seed < 100; ++seed) {
+    sb::Rng rng(seed * 0x2545f4914f6cdd1dULL + 9);
+    const std::string tag = std::to_string(seed);
+    ExpectScanIsTheSerialSweep(apps::GenerateProgramWithCallImmPattern(rng, 16 * kCodePage),
+                               pool, "call-imm program " + tag);
+    // Random bytes at sizes that are not a multiple of 64.
+    ExpectScanIsTheSerialSweep(RandomStreamWithTriples(rng, 3 * kCodePage + 1 + rng.Below(63), 4),
+                               pool, "stream " + tag);
+  }
+}
+
+TEST(SpeculativeSweepProperty, ImagesShorterThanOneChunk) {
+  sb::ThreadPool pool(4);
+  sb::Rng rng(0x5eed);
+  for (const size_t size : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{15}, size_t{63},
+                            size_t{64}, size_t{65}, size_t{256}, size_t{257}, size_t{4000}}) {
+    ExpectScanIsTheSerialSweep(RandomStreamWithTriples(rng, size + 4, 1), pool,
+                               "size " + std::to_string(size + 4));
+    std::vector<uint8_t> bytes(size);
+    for (uint8_t& b : bytes) {
+      b = static_cast<uint8_t>(rng.Next());
+    }
+    ExpectScanIsTheSerialSweep(bytes, pool, "random size " + std::to_string(size));
+  }
+}
+
+// Adversarial: 0xB8 is `mov eax, imm32` (5 bytes), so a run of them decodes
+// in one of five phases and two sweeps in different phases never meet. A
+// 4096-byte chunk is entered at phase 4096 mod 5 = 1 by its own speculative
+// sweep but at phase 0 by the true one, so no chunk after the first
+// re-synchronises before its end: the stitch must re-sweep every one of them
+// and carry its own exit, not the speculative one, into the next chunk.
+TEST(SpeculativeSweepProperty, ChunksThatNeverResynchroniseAreResweptByTheStitch) {
+  sb::ThreadPool pool(4);
+  std::vector<uint8_t> code(16 * kCodePage + 7, 0xb8);
+  std::copy(x86::kVmfuncBytes, x86::kVmfuncBytes + 3, code.begin() + 5 * kCodePage + 1);
+  ExpectScanIsTheSerialSweep(code, pool, "mov run");
+  // The same run behind a prefix that shifts the true phase by one byte.
+  code[0] = 0x66;
+  ExpectScanIsTheSerialSweep(code, pool, "shifted mov run");
 }
 
 // ---- Executor determinism ----

@@ -244,6 +244,50 @@ TEST_F(RegistrationPipelineTest, SweepEntryIsPartOfTheCacheKey) {
   EXPECT_EQ(sky_->metrics().cache_hits->Value(), 0u);
 }
 
+// A scrub keys each page from the page hashes it keeps for the current
+// image: the VMFUNC pass NOPs A's gate out of page 1, so A's WRPKRU pass
+// must key page 1 as the NOPs it now holds. B is A with those NOPs from the
+// start, so after B's own VMFUNC pass (page 1 differs, so it misses) every
+// page of B's WRPKRU pass is a byte-identical replay of A's. A page hash left
+// at A's pre-patch bytes would miss page 1 there.
+TEST_F(RegistrationPipelineTest, SecondPatternPassKeysTheImageTheFirstPassLeft) {
+  Boot();
+  std::vector<uint8_t> a = NopImage(4);
+  std::copy(x86::kVmfuncBytes, x86::kVmfuncBytes + 3, a.begin() + kPageSize + 2048);
+  const std::vector<uint8_t> b = NopImage(4);
+  auto* pa = kernel_->CreateProcessWithImage("a", a).value();
+  ASSERT_TRUE(sky_->RegisterServer(pa, 4, EchoHandler(), CrossingBackendKind::kMpk).ok());
+  ASSERT_EQ(pa->code_image(), b);  // The true VMFUNC was NOPed out.
+  EXPECT_EQ(sky_->metrics().cache_misses->Value(), 8u);  // Both passes, cold.
+  auto* pb = kernel_->CreateProcessWithImage("b", b).value();
+  ASSERT_TRUE(sky_->RegisterServer(pb, 4, EchoHandler(), CrossingBackendKind::kMpk).ok());
+  EXPECT_EQ(sky_->metrics().cache_misses->Value(), 9u);  // B's VMFUNC-pass page 1.
+  EXPECT_EQ(sky_->metrics().cache_hits->Value(), 7u);    // 3 VMFUNC + 4 WRPKRU pages.
+}
+
+// A rewrite window that straddles a page edge patches the next page before
+// that page is keyed, so its key must hash the patched bytes. A's and B's
+// `mov eax, imm32` at the end of page 0 embeds the gate and runs two bytes
+// into page 1; the immediates differ in the byte at 4097. Relocating the mov
+// writes the same JMP over both, so after page 0's rewrite page 1 is
+// byte-identical in A and B and B's page 1 replays A's. Page 0 itself
+// differs in its after-context, so it misses.
+TEST_F(RegistrationPipelineTest, PageKeysSeeTheSpillOfTheRewriteBeforeThem) {
+  Boot();
+  std::vector<uint8_t> a = NopImage(2);
+  PlantEmbedded(a, kPageSize - 3, x86::kVmfuncBytes);
+  std::vector<uint8_t> b = a;
+  b[kPageSize + 1] = 0x11;
+  auto* pa = kernel_->CreateProcessWithImage("a", a).value();
+  ASSERT_TRUE(sky_->RegisterServer(pa, 4, EchoHandler(), CrossingBackendKind::kEptp).ok());
+  ASSERT_EQ(pa->code_image()[kPageSize - 3], 0xe9);  // The mov was relocated.
+  auto* pb = kernel_->CreateProcessWithImage("b", b).value();
+  ASSERT_TRUE(sky_->RegisterServer(pb, 4, EchoHandler(), CrossingBackendKind::kEptp).ok());
+  EXPECT_EQ(pb->code_image(), pa->code_image());
+  EXPECT_EQ(sky_->metrics().cache_misses->Value(), 3u);  // A's two pages, B's page 0.
+  EXPECT_EQ(sky_->metrics().cache_hits->Value(), 1u);    // B's page 1.
+}
+
 // Unit-level key semantics and the bounded LRU budget.
 TEST(RewriteCacheUnit, KeyIsolationAndBoundedLruEviction) {
   x86::RewriteCache cache(2);

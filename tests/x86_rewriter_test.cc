@@ -383,7 +383,7 @@ TEST(Rewriter, MultipleOccurrences) {
 
 // HashBytes keys the rewrite cache and the scan memo: a one-byte change at
 // any offset of a page plus its 64-byte context on each side hashes apart,
-// and so does every length through the sub-word tail, even of zero bytes.
+// and so does every length up to 96 bytes, even of zero bytes.
 TEST(HashBytes, OneByteChangesAndShortLengthsHashApart) {
   std::vector<uint8_t> page(4096 + 2 * 64);
   sb::Rng rng(0x5eed);
@@ -396,14 +396,69 @@ TEST(HashBytes, OneByteChangesAndShortLengthsHashApart) {
     EXPECT_TRUE(seen.insert(HashBytes(page)).second) << "offset " << i;
     page[i] ^= 0x01;
   }
-  const std::vector<uint8_t> zeros(24, 0);
+  // Every length through three 32-byte lane steps: each split between the
+  // four lanes, the leftover words and the sub-word tail.
+  const std::vector<uint8_t> zeros(96, 0);
   std::set<uint64_t> by_length;
-  for (size_t len = 0; len <= 24; ++len) {
+  for (size_t len = 0; len <= 96; ++len) {
     EXPECT_TRUE(by_length.insert(HashBytes({zeros.data(), len})).second) << "length " << len;
     if (len > 0) {  // Both are the empty input at length 0.
       EXPECT_TRUE(by_length.insert(HashBytes({page.data(), len})).second) << "length " << len;
     }
   }
+}
+
+// A spawn hashes each page once and keys every page from its cached page
+// hash plus fresh 64 B contexts, rehashing only the pages a patch wrote
+// into. Scrub a patched image page by page that way and compare every key
+// with the one hashed from scratch at that moment.
+TEST(PageCacheKey, CachedPageHashesGiveTheFromScratchKeyOnEveryPatchedPage) {
+  constexpr size_t kPage = 4096;
+  size_t patched_pages = 0;
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    std::vector<uint8_t> image(16 * kPage);
+    sb::Rng rng(seed + 1);
+    for (uint8_t& b : image) {
+      b = static_cast<uint8_t>(rng.Below(4) == 0 ? rng.Next() : 0x90);
+    }
+    // Triples on and near page edges, so rewrite windows spill across them.
+    for (size_t p = 1; p < 16; ++p) {
+      const size_t off = p * kPage - rng.Below(8);
+      std::copy(kVmfuncBytes, kVmfuncBytes + 3, image.begin() + static_cast<long>(off));
+    }
+    ImageScan scan(image, ScanOptions{});
+    std::vector<uint64_t> hashes(16);
+    for (size_t p = 0; p < 16; ++p) {
+      hashes[p] = HashPage(scan.code(), p);
+    }
+    std::vector<bool> stale(16, false);
+    for (size_t p = 0; p < 16; ++p) {
+      if (stale[p]) {
+        hashes[p] = HashPage(scan.code(), p);
+        stale[p] = false;
+      }
+      const RewriteCacheKey cached = PageCacheKey(scan, p, 0, hashes[p]);
+      EXPECT_EQ(cached, PageCacheKey(scan, p, 0, HashPage(scan.code(), p)))
+          << "seed " << seed << " page " << p;
+      EXPECT_EQ(cached.content_hash, HashCodePage(scan.code(), p))
+          << "seed " << seed << " page " << p;
+      RewriteConfig config;
+      config.rewrite_page_base = 0x1000 + p * kPage;
+      config.rewrite_page_capacity = kPage;
+      auto rewritten = RewriteVmfuncPage(scan, p, config);
+      if (!rewritten.ok()) {
+        break;  // The rest of this image is not a patched image.
+      }
+      for (const PagePatch& patch : rewritten->patches) {
+        for (size_t q = patch.code_off / kPage;
+             q <= (patch.code_off + patch.bytes.size() - 1) / kPage; ++q) {
+          stale[q] = true;
+          patched_pages += q != p ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GE(patched_pages, 1u);  // Some patch spilled into a neighbouring page.
 }
 
 // ---- Randomized equivalence sweep ----
